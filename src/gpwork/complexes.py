@@ -221,9 +221,6 @@ class LinkComplex:
     def has_edge(self, a, b):
         return frozenset((a, b)) in self.simplices
 
-    def neighbor_count(self, a):
-        return sum(1 for s in self.simplices if len(s) == 2 and a in s)
-
 
 def _close_faces(maximal):
     simps = set()
@@ -428,20 +425,24 @@ def format_complex(X):
 
 def parse_complex(text):
     from .words import parse_spec
-    spec_lines = [l for l in text.splitlines() if not l.strip().startswith("box")]
-    spec = parse_spec("\n".join(spec_lines))
+    lines = text.splitlines()
+    spec = parse_spec("\n".join("" if l.strip().startswith("box") else l
+                                for l in lines))
     ranges = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line.startswith("box"):
             continue
         parts = line.split()
-        if parts[2] == "interval":
-            ranges[parts[1]] = ("interval", int(parts[3]), int(parts[4]))
-        elif parts[2] == "cyclic":
-            ranges[parts[1]] = ("cyclic", int(parts[3]))
-        else:
-            raise ValueError("line %d: unknown box kind" % lineno)
+        kind = parts[2] if len(parts) > 2 else None
+        try:
+            bounds = tuple(int(b) for b in parts[3:])
+        except ValueError:
+            bounds = ()
+        if len(bounds) != {"interval": 2, "cyclic": 1}.get(kind):
+            raise ValueError("line %d: expected `box <v> interval <lo> <hi>` "
+                             "or `box <v> cyclic <q>`" % lineno)
+        ranges[parts[1]] = (kind,) + bounds
     missing = set(spec.graph.vertices) - set(ranges)
     if missing:
         raise ValueError("missing box ranges for %r" % (sorted(map(str, missing)),))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import co_contract, double_along_link, opposite
-from .words import (GroupSpec, INF, Word, enumerate_elements, identity,
+from .words import (GroupSpec, INF, Word, _normal_form, enumerate_elements,
                     invert, multiply, normalize, parse_word, format_word)
 
 
@@ -37,15 +37,16 @@ class HomomorphismSpec:
         return dict(self.images)[v]
 
     def apply(self, w):
-        """Image of a source word, in target normal form."""
+        """Image of a source word, in target normal form: the images of its
+        syllables are concatenated and normalized once."""
         imap = dict(self.images)
-        out = identity(self.target)
+        syls = []
         for v, e in w.syllables:
-            g = imap[v]
-            step = g if e > 0 else invert(g)
-            for _ in range(abs(e)):
-                out = multiply(out, step)
-        return out
+            g = imap[v].syllables
+            if e < 0:
+                g = tuple((u, -f) for u, f in reversed(g))
+            syls.extend(g * abs(e))
+        return _normal_form(self.target, syls)
 
 
 def _normalize_orders(g, orders):
@@ -166,8 +167,8 @@ def parse_homomorphism(source, target, text):
         if not line:
             continue
         parts = line.split(None, 2)
-        if parts[0] != "im":
-            raise ValueError("line %d: expected an `im` line" % lineno)
+        if parts[0] != "im" or len(parts) < 2:
+            raise ValueError("line %d: expected `im <v> <word>`" % lineno)
         v = parts[1]
         word = parse_word(target, parts[2] if len(parts) > 2 else "")
         images.append((v, word))

@@ -500,7 +500,11 @@ def read_edgelist(text):
         if parts[0] == "n":
             if verts is not None:
                 raise ValueError("line %d: repeated header" % lineno)
-            count = int(parts[1])
+            try:
+                count = int(parts[1])
+            except (IndexError, ValueError):
+                raise ValueError("line %d: `n` needs an integer vertex count"
+                                 % lineno) from None
             verts = parts[2:]
             if len(verts) != count:
                 raise ValueError("line %d: label count mismatch" % lineno)

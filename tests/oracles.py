@@ -46,6 +46,51 @@ def shuffle_closure_normal_form(spec, syllables):
     return best[1]
 
 
+def normal_form_error(spec, syllables):
+    """None if the syllables are the canonical normal form, else the reason.
+
+    Reduced: no two syllables of one vertex can meet, walking left past
+    syllables of commuting vertices.  Lexicographically least: no syllable
+    can move left past a commuting syllable with a larger (index, e < 0,
+    |e|) key.  Each syllable walks left only until the first syllable it
+    does not commute with."""
+    index = {v: i for i, v in enumerate(spec.graph.vertices)}
+    adj = spec.graph.adj
+    keys = [(index[v], e < 0, abs(e)) for v, e in syllables]
+    for j, (v, _) in enumerate(syllables):
+        for k in range(j - 1, -1, -1):
+            u = syllables[k][0]
+            if u == v:
+                return "syllables %d and %d can merge" % (k, j)
+            if u not in adj[v]:
+                break
+            if keys[k] > keys[j]:
+                return "syllable %d can move left past %d" % (j, k)
+    return None
+
+
+def projections(spec, syllables, sign=1):
+    """Per-vertex exponent sums, reduced modulo finite orders."""
+    order = dict(spec.orders)
+    sums = {v: 0 for v in order}
+    for v, e in syllables:
+        sums[v] += sign * e
+    return {v: s if order[v] is None else s % order[v]
+            for v, s in sums.items()}
+
+
+def commuting_shuffle(spec, syllables, rng, swaps):
+    """Swap random adjacent pairs of syllables on distinct commuting
+    vertices."""
+    adj = spec.graph.adj
+    s = list(syllables)
+    for _ in range(swaps):
+        i = rng.randrange(len(s) - 1)
+        if s[i + 1][0] in adj[s[i][0]]:
+            s[i], s[i + 1] = s[i + 1], s[i]
+    return s
+
+
 def brute_force_hole(g, min_len):
     """Shortest induced cycle of length >= min_len, lex-least starting
     rotation, by scanning every vertex subset."""
@@ -107,12 +152,12 @@ def direct_cell_count(X):
     return counts
 
 
-def random_word(spec, rng, max_len, exp_window=3):
-    """A random raw (unreduced) word over the spec."""
+def random_syllables(spec, rng, n, exp_window=3):
+    """n random syllables over the spec, exponents not reduced to zero."""
     from gpwork.words import INF
     verts = spec.graph.vertices
     syls = []
-    for _ in range(rng.randrange(max_len + 1)):
+    for _ in range(n):
         v = rng.choice(verts)
         m = spec.order[v]
         if m is INF:
@@ -120,4 +165,10 @@ def random_word(spec, rng, max_len, exp_window=3):
         else:
             e = rng.randrange(1, m)
         syls.append((v, e))
-    return Word(spec, syls)
+    return syls
+
+
+def random_word(spec, rng, max_len, exp_window=3):
+    """A random raw (unreduced) word over the spec."""
+    return Word(spec, random_syllables(spec, rng, rng.randrange(max_len + 1),
+                                       exp_window))

@@ -150,6 +150,33 @@ def test_error_exit_codes():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("op, text, line", [
+    ("word", "n\no a 2\n", 1),                      # no vertex count
+    ("word", "n x a\no a 2\n", 1),                  # non-integer count
+    ("word", "n 1 a\no a two\n", 2),                # non-integer order
+    ("complex", "n 1 a\no a 2\nbox a\n", 3),        # no box kind
+    ("complex", "n 1 a\no a 2\nbox a interval 0\n", 3),  # missing bound
+    ("complex", "n 1 a\no a 2\nbox a cyclic x\n", 3),    # non-integer bound
+    ("complex", "n 1 a\nbox a cyclic 3\no a x\n", 3),    # spec line numbers
+    ("embed", "# no vertex\nim\n", 2),
+])
+def test_malformed_input_exits_2_with_line_number(tmp_path, capsys, op, text,
+                                                   line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    spec = tmp_path / "a.spec"
+    spec.write_text("n 1 a\no a 2\n")
+    argv = {"word": ["word", "normalize", "a", "--spec", str(path)],
+            "complex": ["complex", "stats", str(path)],
+            "embed": ["embed", "verify", "--source-spec", str(spec),
+                      "--target-spec", str(spec), "--hom", str(path)]}[op]
+    code, _ = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line %d:" % line)
+    assert "Traceback" not in err
+
+
 def test_negative_fixture_relator_failure(tmp_path):
     # corrupt the generated homomorphism file, then verify must fail
     _, hom = run_cli(["embed", "cocontract", "--name", "C6",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gpwork import catalog
@@ -6,7 +8,10 @@ from gpwork.embeddings import (HomomorphismSpec, co_contraction_embedding,
                                injectivity_sample, parse_homomorphism,
                                relator_check)
 from gpwork.graphs import SimpleGraph, enumerate_graphs, opposite
-from gpwork.words import GroupSpec, INF, Word, equal
+from gpwork.words import (GroupSpec, INF, Word, equal, identity, invert,
+                          multiply)
+
+import oracles
 
 
 def test_double_homomorphism_basics():
@@ -69,6 +74,36 @@ def test_cycle_opposite_chain_relators():
     for h, m in zip(chain, (6, 7, 8)):
         assert are_isomorphic(h.source.graph,
                               opposite(catalog.cycle(m - 1))) is not None
+
+
+def fold_apply(h, w):
+    """The image of w as a left fold of multiply over its syllable images."""
+    out = identity(h.target)
+    for v, e in w.syllables:
+        g = h.image(v)
+        step = g if e > 0 else invert(g)
+        for _ in range(abs(e)):
+            out = multiply(out, step)
+    return out
+
+
+def test_apply_matches_fold_of_multiply():
+    rng = random.Random(4)
+    c6 = catalog.cycle(6)
+    c6_orders = dict(zip(c6.vertices, (2, INF, 3, INF, 4, INF)))
+    p7opp = opposite(catalog.path(7))
+    # the conjugated generators v1*v3, v2*v4, c' and e' get orders 2, inf,
+    # inf and inf, so inverse images of conjugates are exercised
+    p7opp_orders = dict(zip(p7opp.vertices, (3, 2, INF, 5, INF, 2, 4)))
+    homs = [co_contraction_embedding(c6, ("v1", "v3"), c6_orders),
+            co_contraction_embedding(c6, ("v2", "v4"), c6_orders),
+            co_contraction_embedding(c6, ("v2", "v6"), c6_orders, mirror=True),
+            double_homomorphism(p7opp, "d", p7opp_orders),
+            double_homomorphism(p7opp, "d", p7opp_orders, mirror=True)]
+    for h in homs:
+        for _ in range(150):
+            w = oracles.random_word(h.source, rng, 12)
+            assert h.apply(w).syllables == fold_apply(h, w).syllables
 
 
 def test_compose():

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from gpwork import catalog
-from gpwork.graphs import SimpleGraph
+from gpwork.graphs import SimpleGraph, opposite
 from gpwork.words import (GroupSpec, INF, Word, cyclically_reduce, enumerate_elements,
                           equal, format_spec, format_word, generator_syllables,
                           identity, in_kernel_kp0, in_kernel_kpf, invert,
@@ -143,6 +143,36 @@ def test_cyclically_reduce():
         red, conj = cyclically_reduce(w)
         assert equal(multiply(multiply(conj, red), invert(conj)), w)
         assert len(red) <= len(normalize(w))
+
+
+def long_word_specs():
+    """C6 with orders 2, inf, 3, inf, 4, inf, and P7opp with orders inf."""
+    c6 = catalog.cycle(6)
+    return (GroupSpec(c6, dict(zip(c6.vertices, (2, INF, 3, INF, 4, INF)))),
+            GroupSpec(opposite(catalog.path(7)), INF))
+
+
+@pytest.mark.parametrize("n", [1000, 5000, 20000])
+def test_long_words_against_linear_checker(n):
+    # 20,000 syllables take minutes for a normal form growing like n^2
+    rng = random.Random(n)
+    for spec in long_word_specs():
+        raw = oracles.random_syllables(spec, rng, n, exp_window=2)
+        w = Word(spec, raw)
+        nf = normalize(w)
+        assert oracles.normal_form_error(spec, nf.syllables) is None
+        proj = oracles.projections(spec, raw)
+        assert oracles.projections(spec, nf.syllables) == proj
+        shuffled = oracles.commuting_shuffle(spec, raw, rng, 2 * n)
+        assert normalize(Word(spec, shuffled)).syllables == nf.syllables
+        inv = invert(w)
+        assert oracles.normal_form_error(spec, inv.syllables) is None
+        assert oracles.projections(spec, inv.syllables, -1) == proj
+        assert len(multiply(w, inv)) == 0
+        cut = rng.randrange(n)
+        u, v = Word(spec, raw[:cut]), Word(spec, raw[cut:])
+        assert multiply(u, v).syllables == nf.syllables
+        assert multiply(normalize(u), v).syllables == nf.syllables
 
 
 def test_enumerate_elements_counts():
