@@ -32,20 +32,34 @@ class Classification:
 
 
 _RAAG_PATTERNS = (
-    ("C6opp", lambda: opposite(catalog.cycle(6))),
-    ("P6opp", lambda: opposite(catalog.path(6))),
-    ("P1_7", catalog.p1_7),
-    ("P2_7", catalog.p2_7),
+    ("C6opp", opposite(catalog.cycle(6))),
+    ("P6opp", opposite(catalog.path(6))),
+    ("P1_7", catalog.p1_7()),
+    ("P2_7", catalog.p2_7()),
 )
 
 
 def racg_surface_subgroup(g):
     """Does the right-angled Coxeter group on g contain a hyperbolic surface
     group?"""
-    hole = find_hole(g, 5)
+    return _racg(g, find_hole(g, 5))
+
+
+def raag_surface_subgroup(g):
+    """Does the right-angled Artin group on g contain a hyperbolic surface
+    group?  Decisive up to 7 vertices via the five-pattern list."""
+    return _raag(g, find_hole(g, 5))
+
+
+def _hole_verdict(hole):
+    return Classification(YES, ("hole", hole),
+                          basis="induced cycle of length >= 5")
+
+
+def _racg(g, hole):
+    """racg_surface_subgroup, given g's first hole of length >= 5."""
     if hole is not None:
-        return Classification(YES, ("hole", hole),
-                              basis="induced cycle of length >= 5")
+        return _hole_verdict(hole)
     anti = find_hole(opposite(g), 5)
     if anti is not None:
         return Classification(YES, ("antihole", anti),
@@ -62,15 +76,11 @@ def racg_surface_subgroup(g):
                           note=note)
 
 
-def raag_surface_subgroup(g):
-    """Does the right-angled Artin group on g contain a hyperbolic surface
-    group?  Decisive up to 7 vertices via the five-pattern list."""
-    hole = find_hole(g, 5)
+def _raag(g, hole):
+    """raag_surface_subgroup, given g's first hole of length >= 5."""
     if hole is not None:
-        return Classification(YES, ("hole", hole),
-                              basis="induced cycle of length >= 5")
-    for name, make in _RAAG_PATTERNS:
-        pat = make()
+        return _hole_verdict(hole)
+    for name, pat in _RAAG_PATTERNS:
         if len(pat.vertices) > len(g.vertices):
             continue
         subset = has_induced(g, pat)
@@ -101,8 +111,8 @@ def census(n):
         raise ValueError("census supports 1 <= n <= 7")
     rows = []
     for g in enumerate_graphs(n):
-        racg = racg_surface_subgroup(g)
-        raag = raag_surface_subgroup(g)
+        hole = find_hole(g, 5)
+        racg, raag = _racg(g, hole), _raag(g, hole)
         wc = racg.verdict == NO  # at most 7 vertices: NO iff weakly chordal
         rows.append((write_graph6(g), n, "true" if wc else "false",
                      racg.verdict, _witness_str(racg),

@@ -429,6 +429,7 @@ def parse_complex(text):
     spec = parse_spec("\n".join("" if l.strip().startswith("box") else l
                                 for l in lines))
     ranges = {}
+    orders = spec.order
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line.startswith("box"):
@@ -442,7 +443,19 @@ def parse_complex(text):
         if len(bounds) != {"interval": 2, "cyclic": 1}.get(kind):
             raise ValueError("line %d: expected `box <v> interval <lo> <hi>` "
                              "or `box <v> cyclic <q>`" % lineno)
-        ranges[parts[1]] = (kind,) + bounds
+        if parts[1] not in orders:
+            raise ValueError("line %d: unknown vertex %r" % (lineno, parts[1]))
+        m = orders[parts[1]]
+        if m is not INF and (kind == "cyclic" or bounds[1] - bounds[0] >= m):
+            raise ValueError("line %d: vertex %s has order %d, so its box is "
+                             "an interval of at most %d points"
+                             % (lineno, parts[1], m, m))
+        rng = (kind,) + bounds
+        try:
+            Box({parts[1]: rng})
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
+        ranges[parts[1]] = rng
     missing = set(spec.graph.vertices) - set(ranges)
     if missing:
         raise ValueError("missing box ranges for %r" % (sorted(map(str, missing)),))

@@ -3,13 +3,22 @@
 Graphs are immutable.  The stored vertex order is part of the value: it fixes
 tie-breaking for witnesses, canonical forms and text output, but isomorphism
 tests ignore it.
+
+The search routines (holes, induced patterns, isomorphism, canonical forms,
+enumeration) run on `SimpleGraph.masks`, one adjacency bitmask per vertex.
+Vertices are colored by iterated neighbor-degree refinement (`_refine`).
+The canonical form is the least graph6-order bit string (upper triangle,
+column by column) over all relabelings that list the color classes in color
+order, each class in any order.  `canonical_bits` finds it by filling
+positions left to right, keeping only the prefixes whose newest column ties
+the least one, and branching on one vertex per twin class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, permutations, product
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,17 @@ class SimpleGraph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
+
+    @cached_property
+    def masks(self):
+        """Bit j of masks[i] is set when vertices i and j are adjacent."""
+        ix = self.index
+        out = [0] * len(self.vertices)
+        for e in self.edges:
+            u, v = (ix[w] for w in e)
+            out[u] |= 1 << v
+            out[v] |= 1 << u
+        return tuple(out)
 
     def __len__(self):
         return len(self.vertices)
@@ -176,50 +196,47 @@ def double_along_link(g, t):
     return SimpleGraph(verts, edges), rho
 
 
-def _cycle_order(g, subset):
-    """Vertex sequence of the induced cycle on `subset`, or None.
+@lru_cache(maxsize=1 << 12)
+def _members(mask):
+    """Indices of the set bits of mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    The sequence starts at the least vertex and proceeds toward its
-    lesser-index neighbor, so the result is deterministic.
-    """
-    sub = set(subset)
-    if len(sub) < 3:
-        return None
-    deg = {}
-    for v in sub:
-        nb = g.adj[v] & sub
-        if len(nb) != 2:
-            return None
-        deg[v] = sorted(nb, key=g.index.__getitem__)
-    start = min(sub, key=g.index.__getitem__)
-    cyc = [start]
-    prev, cur = None, start
-    while True:
-        a, b = deg[cur]
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        prev, cur = cur, nxt
-    if len(cyc) != len(sub):
-        return None  # two-regular but disconnected: a union of cycles
-    return tuple(cyc)
+
+def _subsets(indices, k):
+    """(subset, mask) for each k-subset of the ascending vertex indices, in
+    lexicographic order."""
+    for subset in combinations(indices, k):
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        yield subset, mask
 
 
 def find_hole(g, min_len=5):
     """Shortest induced cycle of length >= min_len, lexicographically least.
 
-    Returns the cycle as an ordered vertex tuple, or None.  Exhaustive over
-    vertex subsets; fine for the at-most-a-dozen-vertex graphs handled here.
+    Returns the cycle as an ordered vertex tuple, or None: the first subset in
+    lexicographic vertex order whose vertices all have two neighbors inside
+    it and which is one cycle, walked from its least vertex toward that
+    vertex's lesser neighbor.  Exhaustive over vertex subsets; fine for the
+    at-most-a-dozen-vertex graphs handled here.
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
-    n = len(g.vertices)
-    for length in range(min_len, n + 1):
-        for subset in combinations(g.vertices, length):
-            cyc = _cycle_order(g, subset)
-            if cyc is not None:
-                return cyc
+    masks = g.masks
+    cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
+    for length in range(min_len, len(cands) + 1):
+        for subset, s in _subsets(cands, length):
+            if any((masks[v] & s).bit_count() != 2 for v in subset):
+                continue
+            start = prev = subset[0]
+            cyc = [start]
+            cur = _members(masks[start] & s)[0]
+            while cur != start:
+                cyc.append(cur)
+                prev, cur = cur, (masks[cur] & s & ~(1 << prev)).bit_length() - 1
+            if len(cyc) == length:  # else a union of shorter cycles
+                return tuple(g.vertices[v] for v in cyc)
     return None
 
 
@@ -274,17 +291,29 @@ def complete_separator(g):
 
 # -- isomorphism and canonical forms --------------------------------------
 
-def _wl_colors(g):
-    """Iterated neighbor-degree refinement; returns a color id per vertex."""
-    colors = {v: len(g.adj[v]) for v in g.vertices}
-    for _ in range(len(g.vertices)):
-        sig = {v: (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-               for v in g.vertices}
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in g.vertices}
-        if new == colors:
+def _refine(masks):
+    """Iterated neighbor-degree refinement; a color id per vertex index.
+
+    Colors start as degrees.  Each round recolors every vertex by the rank of
+    (its color, the sorted colors of its neighbors) among all such pairs,
+    until a round splits no class or every class is a single vertex.  A
+    vertex alone in its class ranks by its color only, so its neighbors are
+    not looked at."""
+    nbrs = [_members(m) for m in masks]
+    colors = [m.bit_count() for m in masks]
+    classes = len(set(colors))
+    for _ in masks:
+        size = {}
+        for c in colors:
+            size[c] = size.get(c, 0) + 1
+        get = colors.__getitem__
+        sig = [(c, tuple(sorted(map(get, nb)))) if size[c] > 1 else (c,)
+               for c, nb in zip(colors, nbrs)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colors = [palette[s] for s in sig]
+        if len(palette) in (classes, len(masks)):
             break
-        colors = new
+        classes = len(palette)
     return colors
 
 
@@ -295,37 +324,34 @@ def are_isomorphic(g1, g2):
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    c1, c2 = _wl_colors(g1), _wl_colors(g2)
-    if sorted(c1.values()) != sorted(c2.values()):
+    m1, m2 = g1.masks, g2.masks
+    c1, c2 = _refine(m1), _refine(m2)
+    if sorted(c1) != sorted(c2):
         return None
     by_color = {}
-    for v in g2.vertices:
-        by_color.setdefault(c2[v], []).append(v)
+    for w, c in enumerate(c2):
+        by_color.setdefault(c, []).append(w)
+    order = sorted(range(len(m1)), key=c1.__getitem__)
+    image = []
 
-    order = sorted(g1.vertices, key=lambda v: (c1[v], g1.index[v]))
-    mapping = {}
-    used = set()
-
-    def extend(i):
+    def extend(i, used):
         if i == len(order):
             return True
         v = order[i]
-        for w in by_color.get(c1[v], ()):
-            if w in used:
+        for w in by_color[c1[v]]:
+            if used >> w & 1:
                 continue
-            ok = all((w2 := mapping.get(u)) is None or
-                     g2.adjacent(w, w2) == g1.adjacent(v, u)
-                     for u in mapping)
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
+            if all((m2[w] >> x & 1) == (m1[v] >> u & 1)
+                   for u, x in zip(order, image)):
+                image.append(w)
+                if extend(i + 1, used | 1 << w):
                     return True
-                del mapping[v]
-                used.discard(w)
+                image.pop()
         return False
 
-    return dict(mapping) if extend(0) else None
+    if not extend(0, 0):
+        return None
+    return {g1.vertices[v]: g2.vertices[w] for v, w in zip(order, image)}
 
 
 def has_induced(g, pattern):
@@ -336,46 +362,73 @@ def has_induced(g, pattern):
     k = len(pattern.vertices)
     if k > len(g.vertices):
         raise ValueError("pattern has more vertices than the host graph")
-    pat_deg = pattern.degree_sequence()
-    for subset in combinations(g.vertices, k):
-        sub = induced_subgraph(g, subset)
-        if len(sub.edges) != len(pattern.edges):
+    masks = g.masks
+    degrees = sorted(m.bit_count() for m in pattern.masks)
+    key = None
+    for subset, s in _subsets(range(len(masks)), k):
+        if sorted((masks[v] & s).bit_count() for v in subset) != degrees:
             continue
-        if sub.degree_sequence() != pat_deg:
-            continue
-        if are_isomorphic(sub, pattern) is not None:
-            return frozenset(subset)
+        sub = tuple(sum(1 << b for b, w in enumerate(subset) if masks[v] >> w & 1)
+                    for v in subset)
+        key = key or _canonical(pattern.masks)
+        if _canonical(sub) == key:
+            return frozenset(g.vertices[v] for v in subset)
     return None
 
 
-def _adjacency_bits(n, adjmatrix, perm):
-    """Upper-triangle bit tuple of the graph relabeled by perm."""
-    return tuple(adjmatrix[perm[i]][perm[j]]
-                 for j in range(1, n) for i in range(j))
+def _canonical(masks):
+    n = len(masks)
+    colors = _refine(masks)
+    cell_of = {}
+    for v, c in enumerate(colors):
+        cell_of[c] = cell_of.get(c, 0) | 1 << v
+    twins = [0] * n  # twins[v]: the lesser-index twins of v
+    for cell in cell_of.values():
+        for v in _members(cell):
+            for u in _members(cell & ((1 << v) - 1)):
+                if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                    twins[v] |= 1 << u
+    level = [((), 0)]
+    for c in sorted(colors):
+        best, keep = None, []
+        for prefix, used in level:
+            free = cell_of[c] & ~used
+            for v in _members(free):
+                if twins[v] & free:
+                    continue
+                col, m = 0, masks[v]
+                for u in prefix:
+                    col = col << 1 | (m >> u & 1)
+                if best is None or col < best:
+                    best, keep = col, []
+                if col == best:
+                    keep.append((prefix + (v,), used | 1 << v))
+        level = keep
+    order = level[0][0]
+    return (n, tuple(masks[v] >> u & 1
+                     for j, v in enumerate(order) for u in order[:j]))
 
 
 def canonical_bits(g):
-    """Minimum upper-triangle adjacency bit-string over color-respecting
-    relabelings.  Equal for isomorphic graphs; usable as a canonical key."""
-    n = len(g.vertices)
-    verts = g.vertices
-    ix = g.index
-    mat = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        u, v = tuple(e)
-        mat[ix[u]][ix[v]] = mat[ix[v]][ix[u]] = 1
-    colors = _wl_colors(g)
-    cells = {}
-    for v in verts:
-        cells.setdefault(colors[v], []).append(ix[v])
-    cell_list = [cells[c] for c in sorted(cells)]
-    best = None
-    for cell_perms in product(*(permutations(c) for c in cell_list)):
-        perm = [i for cell in cell_perms for i in cell]
-        bits = _adjacency_bits(n, mat, perm)
-        if best is None or bits < best:
-            best = bits
-    return (n, best)
+    """Canonical key (n, bits) of a graph, or of a tuple of adjacency masks.
+
+    bits is the least graph6-order bit string (upper triangle, column by
+    column) over the relabelings that list the `_refine` color classes in
+    color order, each class in any order; equal for isomorphic graphs.  The
+    search fills positions left to right and keeps only the prefixes whose
+    newest column ties the least one, since columns are compared in order.
+    At each position it tries one vertex per twin class: twins u, v (with
+    N(u) - {v} = N(v) - {u}) that are both unplaced give equal strings,
+    because swapping them is an automorphism fixing the prefix.
+    """
+    return _canonical(g if isinstance(g, tuple) else g.masks)
+
+
+def _from_bits(labels, bits):
+    """The graph on `labels` with graph6-order adjacency bits."""
+    pairs = ((labels[i], labels[j])
+             for j in range(1, len(labels)) for i in range(j))
+    return SimpleGraph(labels, [p for p, b in zip(pairs, bits) if b])
 
 
 def canonical_graph(g, labels=None):
@@ -383,14 +436,7 @@ def canonical_graph(g, labels=None):
     n, bits = canonical_bits(g)
     if labels is None:
         labels = ["v%d" % (i + 1) for i in range(n)]
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((labels[i], labels[j]))
-            k += 1
-    return SimpleGraph(labels, edges)
+    return _from_bits(labels, bits)
 
 
 _ENUM_CACHE = {}
@@ -398,7 +444,9 @@ _ENUM_CACHE = {}
 
 def enumerate_graphs(n):
     """All isomorphism classes of graphs on n vertices, canonical labels,
-    in graph6 order.  Built incrementally by one-vertex extensions."""
+    in graph6 order.  Built incrementally by one-vertex extensions: each
+    graph on n - 1 vertices gets a new last vertex joined to every subset,
+    and a graph is built for the first candidate of each canonical key."""
     if not 1 <= n <= 7:
         raise ValueError("n must be between 1 and 7")
     if n in _ENUM_CACHE:
@@ -406,17 +454,11 @@ def enumerate_graphs(n):
     if n == 1:
         reps = [SimpleGraph(("v1",), ())]
     else:
-        smaller = enumerate_graphs(n - 1)
         seen = {}
-        new = "v%d" % (n,)
-        for g in smaller:
-            for nb in product((0, 1), repeat=n - 1):
-                verts = g.vertices + (new,)
-                edges = set(g.edges)
-                for keep, v in zip(nb, g.vertices):
-                    if keep:
-                        edges.add(frozenset((v, new)))
-                cand = SimpleGraph(verts, edges)
+        for g in enumerate_graphs(n - 1):
+            for nb in range(1 << (n - 1)):
+                cand = tuple(m | (nb >> i & 1) << (n - 1)
+                             for i, m in enumerate(g.masks)) + (nb,)
                 key = canonical_bits(cand)
                 if key not in seen:
                     seen[key] = canonical_graph(cand)
@@ -433,11 +475,8 @@ def write_graph6(g):
     n = len(g.vertices)
     if n >= 63:
         raise ValueError("graph6 short form supports at most 62 vertices")
-    ix = g.index
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.adjacent(g.vertices[i], g.vertices[j]) else 0)
+    masks = g.masks
+    bits = [masks[j] >> i & 1 for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(n + 63)]
@@ -468,17 +507,9 @@ def read_graph6(text):
     bits = []
     for c in codes[1:]:
         bits.extend((c >> s) & 1 for s in range(5, -1, -1))
-    labels = ["v%d" % (i + 1) for i in range(n)]
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((labels[i], labels[j]))
-            k += 1
     if any(bits[n * (n - 1) // 2:]):
         raise ValueError("nonzero padding bits in graph6 string")
-    return SimpleGraph(labels, edges)
+    return _from_bits(["v%d" % (i + 1) for i in range(n)], bits)
 
 
 def write_edgelist(g):

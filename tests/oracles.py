@@ -4,8 +4,9 @@ Everything here is deliberately naive: breadth-first closures and brute-force
 subset scans whose correctness is obvious, at the price of speed.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
+from gpwork.graphs import induced_subgraph
 from gpwork.words import Word
 
 
@@ -92,18 +93,14 @@ def commuting_shuffle(spec, syllables, rng, swaps):
 
 
 def brute_force_hole(g, min_len):
-    """Shortest induced cycle of length >= min_len, lex-least starting
-    rotation, by scanning every vertex subset."""
-    verts = g.vertices
-    best = None
-    for size in range(min_len, len(verts) + 1):
-        for sub in combinations(verts, size):
+    """Shortest induced cycle of length >= min_len: the first vertex subset,
+    in lexicographic vertex order, that induces a single cycle, listed from
+    its least vertex toward that vertex's lesser neighbor."""
+    for size in range(min_len, len(g.vertices) + 1):
+        for sub in combinations(g.vertices, size):
             cyc = _induced_cycle_order(g, sub)
             if cyc is not None:
-                if best is None or cyc < best:
-                    best = cyc
-        if best is not None:
-            return best
+                return cyc
     return None
 
 
@@ -122,8 +119,8 @@ def _induced_cycle_order(g, sub):
     while len(walk) < len(sub):
         cur, prev = walk[-1], walk[-2]
         nxt = [u for u in sub if u != prev and g.adjacent(cur, u)]
-        if len(nxt) != 1:
-            return None
+        if len(nxt) != 1 or nxt[0] in walk:
+            return None  # a union of shorter cycles
         walk.append(nxt[0])
     if not g.adjacent(walk[-1], walk[0]):
         return None
@@ -132,7 +129,6 @@ def _induced_cycle_order(g, sub):
 
 def brute_force_isomorphic(g1, g2):
     """Permutation scan; only for tiny graphs."""
-    from itertools import permutations
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
     v2 = g2.vertices
@@ -142,6 +138,53 @@ def brute_force_isomorphic(g1, g2):
                for u, w in combinations(g1.vertices, 2)):
             return True
     return False
+
+
+def brute_force_induced(g, pattern):
+    """The first vertex subset, in lexicographic vertex order, whose induced
+    subgraph is isomorphic to pattern, by permutation scans."""
+    for sub in combinations(g.vertices, len(pattern.vertices)):
+        if brute_force_isomorphic(induced_subgraph(g, sub), pattern):
+            return frozenset(sub)
+    return None
+
+
+def wl_colors(g):
+    """Iterated neighbor-degree refinement on adjacency sets: starting from
+    the degrees, recolor each vertex by the rank of (its color, the sorted
+    colors of its neighbors) until the colors stop changing."""
+    colors = {v: len(g.adj[v]) for v in g.vertices}
+    for _ in range(len(g.vertices)):
+        sig = {v: (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
+               for v in g.vertices}
+        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: palette[sig[v]] for v in g.vertices}
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def permutation_canonical_bits(g):
+    """(n, least graph6-order adjacency bit string) over every relabeling
+    that lists the wl_colors classes in color order, each class in any
+    order, by trying every product of permutations of the classes."""
+    n = len(g.vertices)
+    ix = g.index
+    mat = [[0] * n for _ in range(n)]
+    for u, v in g.sorted_edges():
+        mat[ix[u]][ix[v]] = mat[ix[v]][ix[u]] = 1
+    colors = wl_colors(g)
+    cells = {}
+    for v in g.vertices:
+        cells.setdefault(colors[v], []).append(ix[v])
+    best = None
+    for cell_perms in product(*(permutations(cells[c]) for c in sorted(cells))):
+        perm = [i for cell in cell_perms for i in cell]
+        bits = tuple(mat[perm[i]][perm[j]] for j in range(1, n) for i in range(j))
+        if best is None or bits < best:
+            best = bits
+    return (n, best)
 
 
 def direct_cell_count(X):

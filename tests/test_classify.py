@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gpwork import catalog
@@ -112,3 +114,10 @@ def test_witness_complex_antihole_chain():
     assert X is None
     assert "relators=PASS" in report and "FAIL" not in report
     assert report.startswith("antihole length 7")
+
+
+def test_census_n7_bytes_pinned():
+    # every representative, verdict and witness of the seven-vertex census
+    text = census_text(7)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "177d64e44c9880d0f5368d5a58ef9cbd111386c3cf6cd2fb270458c5adc562ab")

@@ -158,6 +158,9 @@ def test_error_exit_codes():
     ("complex", "n 1 a\no a 2\nbox a interval 0\n", 3),  # missing bound
     ("complex", "n 1 a\no a 2\nbox a cyclic x\n", 3),    # non-integer bound
     ("complex", "n 1 a\nbox a cyclic 3\no a x\n", 3),    # spec line numbers
+    ("complex", "n 1 a\no a 2\nbox a cyclic 3\n", 3),    # cyclic, finite order
+    ("complex", "n 1 a\no a 2\n\nbox a interval 0 2\n", 4),  # 3 points, order 2
+    ("complex", "n 1 a\no a inf\nbox a interval 2 1\n", 3),  # empty interval
     ("embed", "# no vertex\nim\n", 2),
 ])
 def test_malformed_input_exits_2_with_line_number(tmp_path, capsys, op, text,

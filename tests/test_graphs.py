@@ -4,7 +4,8 @@ import random
 import pytest
 
 from gpwork import catalog
-from gpwork.graphs import (SimpleGraph, are_isomorphic, canonical_graph,
+from gpwork.graphs import (SimpleGraph, _refine, are_isomorphic,
+                           canonical_bits, canonical_graph,
                            co_contract, complete_separator, contract_edge,
                            double_along_link, enumerate_graphs, find_hole,
                            has_induced, induced_subgraph, is_chordal,
@@ -18,6 +19,35 @@ def small_graphs(max_n=5):
     out = []
     for n in range(1, max_n + 1):
         out.extend(enumerate_graphs(n))
+    return out
+
+
+def shuffled(g, rng):
+    """g with its edges moved by a random vertex permutation; same labels in
+    the same stored order."""
+    verts = list(g.vertices)
+    rng.shuffle(verts)
+    perm = dict(zip(g.vertices, verts))
+    return SimpleGraph(g.vertices, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def random_graph(n, p, rng):
+    return SimpleGraph(range(n), [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p])
+
+
+def twin_heavy_graphs():
+    """Graphs whose color classes are mostly twins: empty and complete
+    graphs, complements of perfect matchings and K3,3 plus a vertex."""
+    out = []
+    for n in (7, 8):
+        out.append(SimpleGraph(range(n), []))
+        out.append(opposite(SimpleGraph(range(n), [])))
+    for n in (6, 8):
+        out.append(opposite(SimpleGraph(range(n), [(i, i + 1)
+                                                   for i in range(0, n, 2)])))
+    out.append(SimpleGraph(range(7), [(a, b) for a in range(3)
+                                      for b in range(3, 6)]))
     return out
 
 
@@ -80,9 +110,12 @@ def test_double_along_link_path5():
 
 
 def test_find_hole_matches_brute_force():
-    for g in small_graphs(5):
-        assert find_hole(g, 4) == oracles.brute_force_hole(g, 4)
-        assert find_hole(g, 5) == oracles.brute_force_hole(g, 5)
+    rng = random.Random(5)
+    for g in small_graphs(7):
+        h = shuffled(g, rng)
+        for x in (h, opposite(h)):
+            assert find_hole(x, 4) == oracles.brute_force_hole(x, 4)
+            assert find_hole(x, 5) == oracles.brute_force_hole(x, 5)
 
 
 def test_find_hole_examples():
@@ -146,6 +179,40 @@ def test_has_induced():
     assert has_induced(g, catalog.cycle(3)) is None
     with pytest.raises(ValueError):
         has_induced(catalog.path(3), catalog.path(4))
+
+
+def test_has_induced_matches_brute_force():
+    rng = random.Random(9)
+    patterns = [opposite(catalog.cycle(6)), opposite(catalog.path(6)),
+                catalog.p1_7(), catalog.p2_7()]
+    hosts = patterns + enumerate_graphs(7)[::20]
+    for pat in patterns[:2]:  # one extra vertex: several subsets may match
+        for _ in range(8):
+            hosts.append(SimpleGraph(pat.vertices + ("x",), list(pat.edges) + [
+                (v, "x") for v in pat.vertices if rng.random() < 0.5]))
+    found = 0
+    for host in hosts:
+        h = shuffled(host, rng)
+        for pat in patterns:
+            if len(pat) > len(h):
+                continue
+            got = has_induced(h, pat)
+            assert got == oracles.brute_force_induced(h, pat)
+            found += got is not None
+    assert found >= 20
+
+
+def test_canonical_bits_matches_permutation_oracle():
+    rng = random.Random(11)
+    graphs = [shuffled(g, rng) for g in small_graphs(6)]
+    graphs += [random_graph(n, rng.choice((0.3, 0.5, 0.7)), rng)
+               for n in (7, 8) for _ in range(30)]
+    graphs += [shuffled(g, rng) for g in twin_heavy_graphs()]
+    for g in graphs:
+        colors = oracles.wl_colors(g)
+        assert _refine(g.masks) == [colors[v] for v in g.vertices]
+        assert canonical_bits(g) == oracles.permutation_canonical_bits(g), \
+            write_edgelist(g)
 
 
 def test_canonical_graph_invariant_under_relabeling():
