@@ -29,7 +29,7 @@ def _load_graph(args):
         try:
             return catalog.by_name(args.name)
         except KeyError as exc:
-            raise UsageError(str(exc))
+            raise UsageError(exc.args[0]) from None
     if getattr(args, "g6", None):
         return graphs.read_graph6(args.g6)
     if getattr(args, "file", None):
@@ -146,6 +146,9 @@ def cmd_word(args, out):
         ws = [words.parse_word(spec, t) for t in args.words]
     except ValueError as exc:
         raise UsageError(str(exc))
+    binary = op in ("mul", "eq")
+    if len(ws) < 1 + binary:
+        raise UsageError("%s needs %s" % (op, "two words" if binary else "a word"))
     if op == "normalize":
         out.write(words.format_word(words.normalize(ws[0])) + "\n")
         return 0
@@ -252,10 +255,12 @@ def cmd_embed(args, out):
                              words.format_word(v)))
                 return 1
         return 0
+    if not (args.source_spec and args.target_spec and args.hom):
+        raise UsageError("%s needs --source-spec, --target-spec and --hom" % op)
+    src = words.parse_spec(_read_text(args.source_spec))
+    tgt = words.parse_spec(_read_text(args.target_spec))
+    h = embeddings.parse_homomorphism(src, tgt, _read_text(args.hom))
     if op == "verify":
-        src = words.parse_spec(_read_text(args.source_spec))
-        tgt = words.parse_spec(_read_text(args.target_spec))
-        h = embeddings.parse_homomorphism(src, tgt, _read_text(args.hom))
         ok, failures = embeddings.relator_check(h)
         if ok:
             out.write("relators: PASS\n")
@@ -263,9 +268,6 @@ def cmd_embed(args, out):
         out.write("relators: FAIL[%s]\n" % ",".join(d for d, _ in failures))
         return 1
     if op == "inject-sample":
-        src = words.parse_spec(_read_text(args.source_spec))
-        tgt = words.parse_spec(_read_text(args.target_spec))
-        h = embeddings.parse_homomorphism(src, tgt, _read_text(args.hom))
         L = args.inject if args.inject is not None else 3
         ok, coll = embeddings.injectivity_sample(h, L)
         if ok:

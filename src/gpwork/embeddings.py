@@ -66,9 +66,9 @@ def double_homomorphism(g, t, orders, mirror=False):
     orders = _normalize_orders(g, orders)
     if orders.get(t) is not INF and orders.get(t, 0) < 2:
         raise ValueError("vertex %r needs a nontrivial group" % (t,))
+    tgt = GroupSpec(g, orders)
     dbl, rho = double_along_link(g, t)
     src = GroupSpec(dbl, {u: orders[rho[u]] for u in dbl.vertices})
-    tgt = GroupSpec(g, orders)
     conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
     images = []
     for u in dbl.vertices:
@@ -91,13 +91,13 @@ def co_contraction_embedding(g, e, orders, mirror=False):
     if e not in opposite(g).edges:
         raise ValueError("%r is not an edge of the opposite graph"
                          % (sorted(map(str, e)),))
+    tgt = GroupSpec(g, orders)
     x, t = sorted(e, key=g.index.__getitem__)
     src_graph = co_contract(g, e)
     y = "%s*%s" % (x, t)
     src = GroupSpec(src_graph,
                     {v: (orders[x] if v == y else orders[v])
                      for v in src_graph.vertices})
-    tgt = GroupSpec(g, orders)
     conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
     images = []
     for v in src_graph.vertices:

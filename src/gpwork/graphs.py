@@ -11,7 +11,8 @@ The canonical form is the least graph6-order bit string (upper triangle,
 column by column) over all relabelings that list the color classes in color
 order, each class in any order.  `canonical_bits` finds it by filling
 positions left to right, keeping only the prefixes whose newest column ties
-the least one, and branching on one vertex per twin class.
+the least one, and branching on one vertex per twin class.  Isomorphism maps
+and automorphism groups come from one backtracking search (`_bijections`).
 """
 
 from __future__ import annotations
@@ -317,6 +318,44 @@ def _refine(masks):
     return colors
 
 
+def _bijections(m1, c1, m2, c2):
+    """Every bijection from the vertices of m1 onto those of m2 that keeps
+    colors and adjacency, as a tuple whose entry v is the image of v.
+
+    One depth-first search: the vertices of m1 are placed in color order
+    (ties by index), each trying the unused vertices of its color in m2 in
+    index order, and a vertex fits when its neighbors among those already
+    placed map exactly onto its image's neighbors among the images."""
+    n = len(m1)
+    by_color = {}
+    for w, c in enumerate(c2):
+        by_color.setdefault(c, []).append(w)
+    order = sorted(range(n), key=c1.__getitem__)
+    perm = [0] * n
+
+    def extend(i, placed, used):
+        if i == n:
+            yield tuple(perm)
+            return
+        v = order[i]
+        want = 0
+        for u in _members(m1[v] & placed):
+            want |= 1 << perm[u]
+        for w in by_color[c1[v]]:
+            if not used >> w & 1 and m2[w] & used == want:
+                perm[v] = w
+                yield from extend(i + 1, placed | 1 << v, used | 1 << w)
+
+    return extend(0, 0, 0)
+
+
+def _automorphisms(masks):
+    """Aut of the graph given by adjacency masks, as image tuples.  Every
+    automorphism keeps the `_refine` colors, so the search misses none."""
+    colors = _refine(masks)
+    return list(_bijections(masks, colors, masks, colors))
+
+
 def are_isomorphic(g1, g2):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
@@ -328,30 +367,10 @@ def are_isomorphic(g1, g2):
     c1, c2 = _refine(m1), _refine(m2)
     if sorted(c1) != sorted(c2):
         return None
-    by_color = {}
-    for w, c in enumerate(c2):
-        by_color.setdefault(c, []).append(w)
-    order = sorted(range(len(m1)), key=c1.__getitem__)
-    image = []
-
-    def extend(i, used):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_color[c1[v]]:
-            if used >> w & 1:
-                continue
-            if all((m2[w] >> x & 1) == (m1[v] >> u & 1)
-                   for u, x in zip(order, image)):
-                image.append(w)
-                if extend(i + 1, used | 1 << w):
-                    return True
-                image.pop()
-        return False
-
-    if not extend(0, 0):
+    perm = next(_bijections(m1, c1, m2, c2), None)
+    if perm is None:
         return None
-    return {g1.vertices[v]: g2.vertices[w] for v, w in zip(order, image)}
+    return {g1.vertices[v]: g2.vertices[w] for v, w in enumerate(perm)}
 
 
 def has_induced(g, pattern):
@@ -442,11 +461,35 @@ def canonical_graph(g, labels=None):
 _ENUM_CACHE = {}
 
 
+def _orbit_representatives(masks, room):
+    """The least member, as a mask, of each orbit of the graph's automorphism
+    group on vertex subsets of at most `room` vertices."""
+    if room <= 0:
+        return [0] if room == 0 else []
+    images = [[1 << w for w in perm] for perm in _automorphisms(masks)]
+    marked = set()
+    out = []
+    for s in range(1 << len(masks)):
+        if s in marked or s.bit_count() > room:
+            continue
+        out.append(s)
+        members = _members(s)
+        marked.update(sum(img[v] for v in members) for img in images)
+    return out
+
+
 def enumerate_graphs(n):
     """All isomorphism classes of graphs on n vertices, canonical labels,
-    in graph6 order.  Built incrementally by one-vertex extensions: each
-    graph on n - 1 vertices gets a new last vertex joined to every subset,
-    and a graph is built for the first candidate of each canonical key."""
+    in graph6 order.
+
+    Built by one-vertex extensions of the graphs on n - 1 vertices, for the
+    lower half of the edge counts only: with half = C(n,2) // 2, a parent
+    with e edges gets a new last vertex joined to one subset per orbit of
+    its automorphism group on subsets of at most half - e vertices (subsets
+    in one orbit give isomorphic graphs).  Every graph with at most half
+    edges arises this way, since deleting a vertex never adds edges.  A
+    graph is built for the first candidate of each canonical key; each
+    class with fewer than C(n,2) / 2 edges then adds its opposite."""
     if not 1 <= n <= 7:
         raise ValueError("n must be between 1 and 7")
     if n in _ENUM_CACHE:
@@ -454,15 +497,19 @@ def enumerate_graphs(n):
     if n == 1:
         reps = [SimpleGraph(("v1",), ())]
     else:
+        pairs = n * (n - 1) // 2
         seen = {}
         for g in enumerate_graphs(n - 1):
-            for nb in range(1 << (n - 1)):
+            room = pairs // 2 - len(g.edges)
+            for nb in _orbit_representatives(g.masks, room):
                 cand = tuple(m | (nb >> i & 1) << (n - 1)
                              for i, m in enumerate(g.masks)) + (nb,)
                 key = canonical_bits(cand)
                 if key not in seen:
                     seen[key] = canonical_graph(cand)
         reps = list(seen.values())
+        reps += [canonical_graph(opposite(g)) for g in reps
+                 if 2 * len(g.edges) < pairs]
     reps.sort(key=write_graph6)
     _ENUM_CACHE[n] = reps
     return list(reps)

@@ -4,9 +4,11 @@ Everything here is deliberately naive: breadth-first closures and brute-force
 subset scans whose correctness is obvious, at the price of speed.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from gpwork.graphs import induced_subgraph
+from gpwork.graphs import (canonical_bits, canonical_graph, induced_subgraph,
+                           read_graph6, write_graph6)
 from gpwork.words import Word
 
 
@@ -185,6 +187,34 @@ def permutation_canonical_bits(g):
         if best is None or bits < best:
             best = bits
     return (n, best)
+
+
+def brute_force_automorphisms(g):
+    """Every vertex permutation of g, as a tuple of image indices, that maps
+    the edge set onto itself; found by trying all n! permutations."""
+    ix = g.index
+    edges = {frozenset(ix[v] for v in e) for e in g.edges}
+    return {perm for perm in permutations(range(len(g.vertices)))
+            if {frozenset(perm[v] for v in e) for e in edges} == edges}
+
+
+@lru_cache(maxsize=None)
+def unpruned_enumeration(n):
+    """Sorted graph6 strings of the graph classes on n vertices: every class
+    on n - 1 vertices gets a new last vertex joined to every vertex subset,
+    and each candidate is identified by its canonical_bits."""
+    if n == 1:
+        return ("@",)
+    seen = {}
+    for text in unpruned_enumeration(n - 1):
+        masks = read_graph6(text).masks
+        for nb in range(1 << (n - 1)):
+            cand = tuple(m | (nb >> i & 1) << (n - 1)
+                         for i, m in enumerate(masks)) + (nb,)
+            key = canonical_bits(cand)
+            if key not in seen:
+                seen[key] = canonical_graph(cand)
+    return tuple(sorted(map(write_graph6, seen.values())))
 
 
 def direct_cell_count(X):

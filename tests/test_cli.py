@@ -1,13 +1,20 @@
+import hashlib
 import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import gpwork
 from gpwork.cli import main
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -119,6 +126,18 @@ def test_graph_ops():
     assert code == 0 and "rho a' a" in out
 
 
+@pytest.mark.parametrize("n, digest", [
+    (6, "8afe1ac00f7709e57a595ad660a45b43731e5e90f5b1936074491838fb449607"),
+    (7, "ad530e8b8c46fd74efe41d701d5ee6cef01b846a4e6d662ead3cfa7d9a0d2b7f"),
+], ids=("n6", "n7"))
+def test_graph_enum_bytes_pinned(n, digest):
+    # every class representative and the graph6 order, next to the census
+    # sha256 in test_classify.py
+    code, out = run_cli(["graph", "enum", "-n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_census_file_output(tmp_path):
     out_file = tmp_path / "table.tsv"
     code, out = run_cli(["census", "-n", "3", "-o", str(out_file)])
@@ -145,6 +164,15 @@ def test_error_exit_codes():
     code, _ = run_cli(["embed", "cocontract", "--name", "C6",
                        "--edge", "v1,v2", "--orders", "2"])
     assert code == 2
+    # each of these raised a traceback before: too few words, missing
+    # files, an order list that leaves a vertex out
+    code, _ = run_cli(["word", "mul", "--spec", fixture("fig2a.spec")])
+    assert code == 2
+    code, _ = run_cli(["embed", "verify"])
+    assert code == 2
+    code, _ = run_cli(["embed", "cocontract", "--name", "C6",
+                       "--edge", "v1,v3", "--orders", "v1=2"])
+    assert code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])
     assert exc.value.code == 2
@@ -162,9 +190,12 @@ def test_error_exit_codes():
     ("complex", "n 1 a\no a 2\n\nbox a interval 0 2\n", 4),  # 3 points, order 2
     ("complex", "n 1 a\no a inf\nbox a interval 2 1\n", 3),  # empty interval
     ("embed", "# no vertex\nim\n", 2),
+    ("graph", "NOPE", "error: unknown graph name 'NOPE'\n"),
 ])
 def test_malformed_input_exits_2_with_line_number(tmp_path, capsys, op, text,
                                                    line):
+    """`line` is the line number the message must start with, or the exact
+    stderr text for input that has no lines."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     spec = tmp_path / "a.spec"
@@ -172,11 +203,15 @@ def test_malformed_input_exits_2_with_line_number(tmp_path, capsys, op, text,
     argv = {"word": ["word", "normalize", "a", "--spec", str(path)],
             "complex": ["complex", "stats", str(path)],
             "embed": ["embed", "verify", "--source-spec", str(spec),
-                      "--target-spec", str(spec), "--hom", str(path)]}[op]
+                      "--target-spec", str(spec), "--hom", str(path)],
+            "graph": ["graph", "opp", "--name", text]}[op]
     code, _ = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: line %d:" % line)
+    if isinstance(line, str):
+        assert err == line
+    else:
+        assert err.startswith("error: line %d:" % line)
     assert "Traceback" not in err
 
 
@@ -210,3 +245,110 @@ def test_console_script_determinism():
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.decode() == golden("census_n4.tsv")
+
+
+if HAVE_HYPOTHESIS:
+    LABELS = ("a", "b", "c", "d")
+    JUNK = ("", "z", "a'", "x*y", "#", "^", "-1", "0", "1", "2", "3", "inf",
+            "x", "n", "e", "o", "box", "im", "interval", "cyclic")
+
+    @st.composite
+    def input_texts(draw, kind):
+        """A graph/spec, complex or homomorphism text: well formed, then up to
+        three lines dropped, duplicated, replaced or inserted as junk."""
+        k = draw(st.integers(1, 4))
+        label = st.sampled_from(LABELS[:k])
+        if kind == "hom":
+            syllable = st.builds("{}^{}".format, label, st.integers(-2, 2))
+            lines = ["im %s %s" % (v, " ".join(draw(st.lists(syllable,
+                                                             max_size=3))))
+                     for v in LABELS[:k]]
+        else:
+            lines = ["n %d %s" % (k, " ".join(LABELS[:k]))]
+            lines += ["e %s %s" % p for p in draw(st.lists(
+                st.tuples(label, label), max_size=5))]
+            lines += ["o %s %s" % (v, draw(st.sampled_from(("2", "3", "inf"))))
+                      for v in LABELS[:k]]
+        if kind == "complex":
+            for v in LABELS[:k]:
+                lo, size = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+                lines.append(draw(st.sampled_from((
+                    "box %s interval %d %d" % (v, lo, lo + size),
+                    "box %s cyclic %d" % (v, size + 2)))))
+        junk = st.lists(st.sampled_from(JUNK + LABELS), max_size=5).map(" ".join)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(lines)))
+            how = draw(st.sampled_from(("drop", "dup", "junk", "insert")))
+            if how == "insert" or not lines:
+                lines.insert(i, draw(junk))
+            elif how == "drop":
+                del lines[min(i, len(lines) - 1)]
+            elif how == "dup":
+                lines.insert(i, lines[min(i, len(lines) - 1)])
+            else:
+                lines[min(i, len(lines) - 1)] = draw(junk)
+        return "\n".join(lines) + "\n"
+
+    @pytest.fixture(scope="module")
+    def fuzz_dir(tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_fuzzed_inputs_exit_0_1_or_2(fuzz_dir, data):
+        spec, cpx, hom = (fuzz_dir / "spec.txt", fuzz_dir / "complex.txt",
+                          fuzz_dir / "hom.txt")
+        for path, kind in ((spec, "spec"), (cpx, "complex"), (hom, "hom")):
+            path.write_text(data.draw(input_texts(kind)))
+        spec, cpx, hom = str(spec), str(cpx), str(hom)
+        draw = data.draw
+        name = st.sampled_from(LABELS[:3] + ("", "z"))
+        pair = st.builds("{},{}".format, name, name)
+        word = st.lists(st.builds("{}^{}".format, name, st.sampled_from(
+            ("1", "-1", "2", "0", "x"))), max_size=3).map(" ".join)
+
+        def opt(*args):
+            return list(args) if draw(st.booleans()) else []
+
+        def orders():
+            return opt("--orders", draw(st.sampled_from(
+                ("2", "inf", "a=2,b=inf,c=3,d=2", "a=x", "x", "1", "a=2,z=3"))))
+
+        def op(*ops):
+            return draw(st.sampled_from(ops))
+
+        argv = draw(st.sampled_from((
+            lambda: ["graph", op("opp", "induced", "contract", "cocontract",
+                                 "double", "hole", "wc", "iso", "enum"),
+                     "--file", spec] + opt("--verts", draw(pair))
+            + opt("--edge", draw(pair)) + opt("-t", draw(name))
+            + opt("--other", spec) + opt("-n", str(draw(st.integers(-1, 5))))
+            + opt("--min-len", str(draw(st.integers(2, 6)))),
+            lambda: ["word", op("normalize", "mul", "inv", "eq", "proj", "kp0",
+                                "kpf")] + draw(st.lists(word, max_size=3))
+            + opt("--spec", spec) + opt("--file", spec) + orders()
+            + opt("-v", draw(name)),
+            lambda: ["complex", op("build-z0", "build-zf", "stats", "npc",
+                                   "special", "surface")]
+            + opt(cpx) + opt("--spec", spec) + opt("--file", spec) + orders()
+            + opt("-q", str(draw(st.integers(0, 4))))
+            + opt("--window", str(draw(st.integers(-1, 3)))),
+            lambda: ["embed", op("double", "cocontract", "verify",
+                                 "inject-sample")]
+            + opt("--file", spec) + opt("-t", draw(name))
+            + opt("--edge", draw(pair)) + orders() + opt("--verify")
+            + opt("--mirror") + opt("-L", str(draw(st.integers(-1, 2))))
+            + opt("--source-spec", spec) + opt("--target-spec", spec)
+            + opt("--hom", hom),
+            lambda: ["classify", "--file", spec, "--group", op("racg", "raag")]
+            + opt("--certificate"),
+            lambda: ["census", "-n", str(draw(st.integers(-1, 4)))],
+        )))()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            try:
+                code, _ = run_cli(argv, draw(input_texts("complex")))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

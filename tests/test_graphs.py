@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from gpwork import catalog
-from gpwork.graphs import (SimpleGraph, _refine, are_isomorphic,
+from gpwork.graphs import (SimpleGraph, _automorphisms, _orbit_representatives,
+                           _refine, are_isomorphic,
                            canonical_bits, canonical_graph,
                            co_contract, complete_separator, contract_edge,
                            double_along_link, enumerate_graphs, find_hole,
@@ -226,8 +228,65 @@ def test_canonical_graph_invariant_under_relabeling():
         assert canonical_graph(g) == canonical_graph(h)
 
 
+# graphs on n vertices by number of edges, OEIS A008406
+EDGE_COUNTS = {
+    1: [1], 2: [1, 1], 3: [1, 1, 1, 1], 4: [1, 1, 2, 3, 2, 1, 1],
+    5: [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1],
+    6: [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1],
+    7: [1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21,
+        10, 5, 2, 1, 1],
+}
+
+
 def test_enumerate_graphs_counts():
-    assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == \
+        [1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
+    for n, want in EDGE_COUNTS.items():
+        got = [0] * (n * (n - 1) // 2 + 1)
+        for g in enumerate_graphs(n):
+            got[len(g.edges)] += 1
+        assert got == want, n
+
+
+def test_enumerate_graphs_matches_unpruned_enumeration():
+    for n in range(1, 8):
+        assert list(map(write_graph6, enumerate_graphs(n))) == \
+            list(oracles.unpruned_enumeration(n)), n
+
+
+def test_orbit_representatives_give_each_child_class_once():
+    rng = random.Random(17)
+    for g in small_graphs(6):
+        masks = shuffled(g, rng).masks
+        n = len(masks)
+
+        child = [canonical_bits(tuple(m | (nb >> i & 1) << n
+                                      for i, m in enumerate(masks)) + (nb,))
+                 for nb in range(1 << n)]
+        for room in range(n + 1):
+            keys = [child[nb] for nb in _orbit_representatives(masks, room)]
+            assert len(set(keys)) == len(keys)
+            assert set(keys) == {child[nb] for nb in range(1 << n)
+                                 if nb.bit_count() <= room}
+    assert _orbit_representatives((0, 0), -1) == []
+
+
+def test_automorphism_counts_satisfy_orbit_stabilizer():
+    # each class G is hit by n!/|Aut(G)| of the 2^C(n,2) labelled graphs
+    for n in range(1, 8):
+        total = sum(math.factorial(n) // len(_automorphisms(g.masks))
+                    for g in enumerate_graphs(n))
+        assert total == 2 ** (n * (n - 1) // 2), n
+
+
+def test_automorphisms_match_brute_force():
+    rng = random.Random(13)
+    for g in small_graphs(6):
+        h = shuffled(g, rng)
+        auts = _automorphisms(h.masks)
+        assert len(set(auts)) == len(auts)
+        assert set(auts) == oracles.brute_force_automorphisms(h), \
+            write_edgelist(h)
 
 
 def test_enumerate_graphs_distinct():
