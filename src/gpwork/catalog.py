@@ -128,14 +128,6 @@ def fig8():
     return opposite(fig8_opp())
 
 
-def disjoint_union(g1, g2):
-    """Disjoint union; label clashes are an error."""
-    clash = set(g1.vertices) & set(g2.vertices)
-    if clash:
-        raise ValueError("label clash: %r" % (sorted(map(str, clash)),))
-    return SimpleGraph(g1.vertices + g2.vertices, g1.edges | g2.edges)
-
-
 def by_name(name):
     """Resolve a registry name like C5, C6opp, P7, P6opp, Phi3, Lambda7,
     P1_7, P2_7 or Fig8.  An `opp` suffix complements any base name."""

@@ -27,7 +27,6 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 class Classification:
     verdict: str
     witness: tuple = None  # (kind, vertices)
-    basis: str = ""
     note: str = ""
 
 
@@ -51,48 +50,34 @@ def raag_surface_subgroup(g):
     return _raag(g, find_hole(g, 5))
 
 
-def _hole_verdict(hole):
-    return Classification(YES, ("hole", hole),
-                          basis="induced cycle of length >= 5")
-
-
 def _racg(g, hole):
     """racg_surface_subgroup, given g's first hole of length >= 5."""
     if hole is not None:
-        return _hole_verdict(hole)
+        return Classification(YES, ("hole", hole))
     anti = find_hole(opposite(g), 5)
     if anti is not None:
-        return Classification(YES, ("antihole", anti),
-                              basis="induced anticycle of length >= 5")
-    if len(g.vertices) <= 7:
-        return Classification(NO, basis="weakly chordal, at most 7 vertices")
+        return Classification(YES, ("antihole", anti))
+    if len(g.vertices) <= 7:  # the dichotomy holds up to 7 vertices
+        return Classification(NO)
     note = ""
     if are_isomorphic(g, catalog.fig8()) is not None:
         note = ("this graph is known affirmative via a finite-index "
                 "right-angled Artin subgroup, outside this tool's scope")
-    return Classification(UNKNOWN,
-                          basis="weakly chordal with more than 7 vertices; "
-                                "the dichotomy only holds up to 7",
-                          note=note)
+    return Classification(UNKNOWN, note=note)
 
 
 def _raag(g, hole):
     """raag_surface_subgroup, given g's first hole of length >= 5."""
     if hole is not None:
-        return _hole_verdict(hole)
+        return Classification(YES, ("hole", hole))
     for name, pat in _RAAG_PATTERNS:
         if len(pat.vertices) > len(g.vertices):
             continue
         subset = has_induced(g, pat)
         if subset is not None:
             verts = tuple(v for v in g.vertices if v in subset)
-            return Classification(YES, (name, verts),
-                                  basis="induced %s" % (name,))
-    if len(g.vertices) <= 7:
-        return Classification(NO, basis="none of the five patterns present")
-    return Classification(UNKNOWN,
-                          basis="no pattern witness; classification beyond 7 "
-                                "vertices is not attempted")
+            return Classification(YES, (name, verts))
+    return Classification(NO if len(g.vertices) <= 7 else UNKNOWN)
 
 
 def _witness_str(c):

@@ -8,6 +8,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from . import catalog, classify, complexes, embeddings, graphs, words
@@ -37,24 +38,29 @@ def _load_graph(args):
     raise UsageError("give a graph via --name, --g6 or --file")
 
 
-def _parse_orders(text, g):
+def _parse_orders(text):
     """Uniform order (`2`, `inf`) or per-vertex `a=2,b=inf` assignments."""
-    text = text.strip()
+    def order(ms):
+        ms = ms.strip()
+        if ms in ("inf", "oo"):
+            return words.INF
+        try:
+            return int(ms)
+        except ValueError:
+            raise UsageError("--orders: %r is not an integer or inf"
+                             % (ms,)) from None
+
     if "=" not in text:
-        return words.INF if text in ("inf", "oo") else int(text)
-    orders = {}
-    for part in text.split(","):
-        v, _, ms = part.partition("=")
-        orders[v.strip()] = words.INF if ms.strip() in ("inf", "oo") else int(ms)
-    return orders
+        return order(text)
+    return {v.strip(): order(ms)
+            for v, _, ms in (part.partition("=") for part in text.split(","))}
 
 
 def _load_spec(args):
     if getattr(args, "spec", None):
         return words.parse_spec(_read_text(args.spec))
     g = _load_graph(args)
-    orders = _parse_orders(getattr(args, "orders", None) or "2", g)
-    return words.GroupSpec(g, orders)
+    return words.GroupSpec(g, _parse_orders(getattr(args, "orders", None) or "2"))
 
 
 def _graph_args(p, with_orders=False):
@@ -65,48 +71,44 @@ def _graph_args(p, with_orders=False):
         p.add_argument("--orders", help="uniform order or per-vertex list (default 2)")
 
 
-def _print_graph(g, out):
-    out.write(graphs.write_edgelist(g))
-
-
 # -- subcommand handlers ---------------------------------------------------
+# Each writes its report to `out` and returns 0 or 1, or raises for exit 2.
 
 def cmd_graph(args, out):
-    g = _load_graph(args)
     op = args.op
+    if op == "enum":
+        for g in graphs.enumerate_graphs(args.n):
+            out.write(graphs.write_graph6(g) + "\n")
+        return 0
+    g = _load_graph(args)
     if op == "opp":
-        _print_graph(graphs.opposite(g), out)
+        out.write(graphs.write_edgelist(graphs.opposite(g)))
         return 0
     if op == "induced":
         if not args.verts:
             raise UsageError("induced needs --verts")
-        _print_graph(graphs.induced_subgraph(g, args.verts.split(",")), out)
+        out.write(graphs.write_edgelist(
+            graphs.induced_subgraph(g, args.verts.split(","))))
         return 0
-    if op == "contract":
+    if op in ("contract", "cocontract"):
         if not args.edge:
-            raise UsageError("contract needs --edge u,v")
-        _print_graph(graphs.contract_edge(g, args.edge.split(",")), out)
-        return 0
-    if op == "cocontract":
-        if not args.edge:
-            raise UsageError("cocontract needs --edge u,v")
-        _print_graph(graphs.co_contract(g, args.edge.split(",")), out)
+            raise UsageError("%s needs --edge u,v" % op)
+        fn = graphs.contract_edge if op == "contract" else graphs.co_contract
+        out.write(graphs.write_edgelist(fn(g, args.edge.split(","))))
         return 0
     if op == "double":
         if not args.t:
             raise UsageError("double needs -t")
         dbl, rho = graphs.double_along_link(g, args.t)
-        _print_graph(dbl, out)
+        out.write(graphs.write_edgelist(dbl))
         for u in dbl.vertices:
             out.write("rho %s %s\n" % (u, rho[u]))
         return 0
     if op == "hole":
         hole = graphs.find_hole(g, args.min_len)
-        if hole is None:
-            out.write("hole=none\n")
-            return 1
-        out.write("hole=%s\n" % ",".join(map(str, hole)))
-        return 0
+        out.write("hole=%s\n" % ("none" if hole is None
+                                 else ",".join(map(str, hole))))
+        return 1 if hole is None else 0
     if op == "wc":
         ok, witness = graphs.is_weakly_chordal(g)
         if ok:
@@ -115,67 +117,47 @@ def cmd_graph(args, out):
         kind, cyc = witness
         out.write("weakly_chordal=false witness=%s:%d\n" % (kind, len(cyc)))
         return 1
-    if op == "iso":
-        if not args.other:
-            raise UsageError("iso needs --other (name or file)")
-        try:
-            g2 = catalog.by_name(args.other)
-        except KeyError:
-            g2 = graphs.read_edgelist(_read_text(args.other))
-        mapping = graphs.are_isomorphic(g, g2)
-        if mapping is None:
-            out.write("isomorphic=false\n")
-            return 1
-        out.write("isomorphic=true\n")
-        for v in g.vertices:
-            out.write("map %s %s\n" % (v, mapping[v]))
-        return 0
-    raise UsageError("unknown graph op %r" % (op,))
-
-
-def cmd_graph_enum(args, out):
-    for g in graphs.enumerate_graphs(args.n):
-        out.write(graphs.write_graph6(g) + "\n")
+    # iso
+    if not args.other:
+        raise UsageError("iso needs --other (name or file)")
+    try:
+        g2 = catalog.by_name(args.other)
+    except KeyError:
+        g2 = graphs.read_edgelist(_read_text(args.other))
+    mapping = graphs.are_isomorphic(g, g2)
+    if mapping is None:
+        out.write("isomorphic=false\n")
+        return 1
+    out.write("isomorphic=true\n")
+    for v in g.vertices:
+        out.write("map %s %s\n" % (v, mapping[v]))
     return 0
 
 
 def cmd_word(args, out):
     spec = _load_spec(args)
+    ws = [words.parse_word(spec, t) for t in args.words]
     op = args.op
-    try:
-        ws = [words.parse_word(spec, t) for t in args.words]
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    binary = op in ("mul", "eq")
-    if len(ws) < 1 + binary:
-        raise UsageError("%s needs %s" % (op, "two words" if binary else "a word"))
-    if op == "normalize":
-        out.write(words.format_word(words.normalize(ws[0])) + "\n")
-        return 0
-    if op == "mul":
-        out.write(words.format_word(words.multiply(ws[0], ws[1])) + "\n")
-        return 0
-    if op == "inv":
-        out.write(words.format_word(words.invert(ws[0])) + "\n")
-        return 0
-    if op == "eq":
-        ok = words.equal(ws[0], ws[1])
-        out.write("true\n" if ok else "false\n")
-        return 0 if ok else 1
+    arity = 2 if op in ("mul", "eq") else 1
+    if len(ws) < arity:
+        raise UsageError("%s needs %s"
+                         % (op, "two words" if arity == 2 else "a word"))
+    ws = ws[:arity]
     if op == "proj":
         if not args.vertex:
             raise UsageError("proj needs -v VERTEX")
         out.write("%d\n" % words.project(ws[0], args.vertex))
         return 0
-    if op == "kp0":
-        ok = words.in_kernel_kp0(ws[0])
-        out.write("true\n" if ok else "false\n")
-        return 0 if ok else 1
-    if op == "kpf":
-        ok = words.in_kernel_kpf(ws[0])
-        out.write("true\n" if ok else "false\n")
-        return 0 if ok else 1
-    raise UsageError("unknown word op %r" % (op,))
+    if op in ("normalize", "mul", "inv"):
+        fn = {"normalize": words.normalize, "mul": words.multiply,
+              "inv": words.invert}[op]
+        out.write(words.format_word(fn(*ws)) + "\n")
+        return 0
+    fn = {"eq": words.equal, "kp0": words.in_kernel_kp0,
+          "kpf": words.in_kernel_kpf}[op]
+    ok = fn(*ws)
+    out.write("true\n" if ok else "false\n")
+    return 0 if ok else 1
 
 
 def _load_complex(args):
@@ -205,26 +187,43 @@ def cmd_complex(args, out):
         out.write(complexes.stats_line(X) + "\n")
         return 0
     if op == "npc":
-        ok, offender = complexes.is_npc(X)
+        ok, _ = complexes.is_npc(X)
         out.write("npc=%s\n" % ("yes" if ok else "no"))
-        return 0 if ok else 1
-    if op == "special":
-        ok, failures = complexes.check_special_map(X)
+    elif op == "special":
+        ok, _ = complexes.check_special_map(X)
         out.write("special=%s\n" % ("yes" if ok else "no"))
-        return 0 if ok else 1
-    if op == "surface":
+    else:  # surface
         ok = complexes.is_closed_surface(X)
         out.write("surface=%s chi=%d\n" % ("yes" if ok else "no",
                                            complexes.euler_characteristic(X)))
-        return 0 if ok else 1
-    raise UsageError("unknown complex op %r" % (op,))
+    return 0 if ok else 1
+
+
+def _write_relators(h, out):
+    """Relator report line; True when every relator holds."""
+    ok, failures = embeddings.relator_check(h)
+    out.write("relators: PASS\n" if ok else
+              "relators: FAIL[%s]\n" % ",".join(d for d, _ in failures))
+    return ok
+
+
+def _write_injectivity(h, L, out):
+    """Injectivity report line for the ball of radius L; True on PASS."""
+    ok, coll = embeddings.injectivity_sample(h, L)
+    if ok:
+        out.write("injectivity(L=%d): PASS\n" % L)
+    else:
+        u, v = coll
+        out.write("injectivity(L=%d): FAIL(%s,%s)\n"
+                  % (L, words.format_word(u), words.format_word(v)))
+    return ok
 
 
 def cmd_embed(args, out):
     op = args.op
     if op in ("double", "cocontract"):
         g = _load_graph(args)
-        orders = _parse_orders(args.orders or "2", g)
+        orders = _parse_orders(args.orders or "2")
         if op == "double":
             if not args.t:
                 raise UsageError("embed double needs -t")
@@ -236,24 +235,10 @@ def cmd_embed(args, out):
             h = embeddings.co_contraction_embedding(g, args.edge.split(","),
                                                     orders, mirror=args.mirror)
         out.write(embeddings.format_homomorphism(h))
-        if args.verify:
-            ok, failures = embeddings.relator_check(h)
-            if ok:
-                out.write("relators: PASS\n")
-            else:
-                out.write("relators: FAIL[%s]\n"
-                          % ",".join(d for d, _ in failures))
-                return 1
-        if args.inject is not None:
-            ok, coll = embeddings.injectivity_sample(h, args.inject)
-            if ok:
-                out.write("injectivity(L=%d): PASS\n" % args.inject)
-            else:
-                u, v = coll
-                out.write("injectivity(L=%d): FAIL(%s,%s)\n"
-                          % (args.inject, words.format_word(u),
-                             words.format_word(v)))
-                return 1
+        if args.verify and not _write_relators(h, out):
+            return 1
+        if args.inject is not None and not _write_injectivity(h, args.inject, out):
+            return 1
         return 0
     if not (args.source_spec and args.target_spec and args.hom):
         raise UsageError("%s needs --source-spec, --target-spec and --hom" % op)
@@ -261,33 +246,17 @@ def cmd_embed(args, out):
     tgt = words.parse_spec(_read_text(args.target_spec))
     h = embeddings.parse_homomorphism(src, tgt, _read_text(args.hom))
     if op == "verify":
-        ok, failures = embeddings.relator_check(h)
-        if ok:
-            out.write("relators: PASS\n")
-            return 0
-        out.write("relators: FAIL[%s]\n" % ",".join(d for d, _ in failures))
-        return 1
-    if op == "inject-sample":
-        L = args.inject if args.inject is not None else 3
-        ok, coll = embeddings.injectivity_sample(h, L)
-        if ok:
-            out.write("injectivity(L=%d): PASS\n" % L)
-            return 0
-        u, v = coll
-        out.write("injectivity(L=%d): FAIL(%s,%s)\n"
-                  % (L, words.format_word(u), words.format_word(v)))
-        return 1
-    raise UsageError("unknown embed op %r" % (op,))
+        ok = _write_relators(h, out)
+    else:  # inject-sample
+        ok = _write_injectivity(h, 3 if args.inject is None else args.inject, out)
+    return 0 if ok else 1
 
 
 def cmd_classify(args, out):
     g = _load_graph(args)
-    if args.group == "racg":
-        c = classify.racg_surface_subgroup(g)
-    elif args.group == "raag":
-        c = classify.raag_surface_subgroup(g)
-    else:
-        raise UsageError("--group must be racg or raag")
+    decide = (classify.racg_surface_subgroup if args.group == "racg"
+              else classify.raag_surface_subgroup)
+    c = decide(g)
     line = c.verdict
     if c.note:
         line += " (%s)" % c.note
@@ -372,25 +341,23 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command.  Its report reaches stdout only when it exits 0 or
+    1; a usage or input error writes one `error:` line to stderr instead and
+    exits 2.  Argument errors exit 2 through argparse."""
     ap = build_parser()
-    args = ap.parse_args(argv)
-    out = sys.stdout
+    args, extra = ap.parse_known_args(argv)
+    if extra and (args.cmd != "word" or any(a.startswith("-") for a in extra)):
+        ap.error("unrecognized arguments: %s" % " ".join(extra))
+    if args.cmd == "word":
+        args.words += extra  # literals given after an option
+    handler = {"graph": cmd_graph, "word": cmd_word, "complex": cmd_complex,
+               "embed": cmd_embed, "classify": cmd_classify,
+               "census": cmd_census}[args.cmd]
+    out = io.StringIO()
     try:
-        if args.cmd == "graph":
-            if args.op == "enum":
-                return cmd_graph_enum(args, out)
-            return cmd_graph(args, out)
-        if args.cmd == "word":
-            return cmd_word(args, out)
-        if args.cmd == "complex":
-            return cmd_complex(args, out)
-        if args.cmd == "embed":
-            return cmd_embed(args, out)
-        if args.cmd == "classify":
-            return cmd_classify(args, out)
-        if args.cmd == "census":
-            return cmd_census(args, out)
+        code = handler(args, out)
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    return 2
+    sys.stdout.write(out.getvalue())
+    return code

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
+from . import graphs
 from .words import GroupSpec, INF
 
 
@@ -93,15 +94,7 @@ class CubeComplex:
     @cached_property
     def cliques(self):
         """All cliques of the defining graph, the empty one included."""
-        g = self.spec.graph
-        out = [frozenset()]
-        for size in range(1, len(g.vertices) + 1):
-            layer = [frozenset(c) for c in combinations(g.vertices, size)
-                     if all(g.adjacent(u, v) for u, v in combinations(c, 2))]
-            if not layer:
-                break
-            out.extend(layer)
-        return out
+        return graphs.cliques(self.spec.graph)
 
     def vertices(self):
         if self.explicit_cubes is not None:
@@ -129,7 +122,8 @@ class CubeComplex:
 
 
 def _corners(X, base, dset):
-    """All corner vertices of one cube."""
+    """The corners of the cube at `base` spanning directions `dset`; with
+    the directions of a face left out, the bases of its parallel faces."""
     idx = {v: i for i, v in enumerate(X.dirs)}
     outs = [base]
     for d in dset:
@@ -174,7 +168,7 @@ def cell_counts(X):
         for base, dset in X.explicit_cubes:
             for k in range(len(dset) + 1):
                 for sub in combinations(sorted(dset, key=str), k):
-                    for face_base in _face_bases(X, base, dset, frozenset(sub)):
+                    for face_base in _corners(X, base, dset.difference(sub)):
                         cells.setdefault(k, set()).add((face_base, frozenset(sub)))
         for k, cs in cells.items():
             counts[k] = len(cs)
@@ -186,21 +180,6 @@ def cell_counts(X):
         if total:
             counts[len(clique)] = counts.get(len(clique), 0) + total
     return counts
-
-
-def _face_bases(X, base, dset, sub):
-    """Base points of the faces of a cube that span exactly directions `sub`."""
-    idx = {v: i for i, v in enumerate(X.dirs)}
-    free = sorted(dset - sub, key=str)
-    outs = [base]
-    for d in free:
-        nxt = []
-        for p in outs:
-            q = list(p)
-            q[idx[d]] = X.box.step(d, q[idx[d]]) if X.box else q[idx[d]] + 1
-            nxt.append(tuple(q))
-        outs = outs + nxt
-    return outs
 
 
 def euler_characteristic(X):
@@ -217,9 +196,6 @@ class LinkComplex:
 
     verts: frozenset
     simplices: frozenset  # frozensets of verts; includes all faces
-
-    def has_edge(self, a, b):
-        return frozenset((a, b)) in self.simplices
 
 
 def _close_faces(maximal):
@@ -310,22 +286,13 @@ def salvetti_link(graph):
     """Link of the unique vertex of the one-vertex cube complex for the
     right-angled Artin group on `graph`: the flag complex on signed vertices,
     adjacency inherited from the graph, opposite signs of one vertex never
-    adjacent."""
-    maximal = []
-    cliques = [frozenset()]
-    for size in range(1, len(graph.vertices) + 1):
-        layer = [c for c in combinations(graph.vertices, size)
-                 if all(graph.adjacent(u, v) for u, v in combinations(c, 2))]
-        if not layer:
-            break
-        cliques.extend(map(frozenset, layer))
-    for clique in cliques:
-        if not clique:
-            continue
-        for signs in product((1, -1), repeat=len(clique)):
-            maximal.append(frozenset(zip(sorted(clique, key=str), signs)))
+    adjacent.  Every signing of every clique is a simplex, so the list is
+    closed under faces as built."""
+    simplices = [frozenset(zip(clique, signs))
+                 for clique in graphs.cliques(graph)[1:]
+                 for signs in product((1, -1), repeat=len(clique))]
     verts = {(v, s) for v in graph.vertices for s in (1, -1)}
-    return LinkComplex(frozenset(verts), _close_faces(maximal))
+    return LinkComplex(frozenset(verts), frozenset(simplices))
 
 
 def _label(link_vertex):
@@ -334,31 +301,34 @@ def _label(link_vertex):
 
 def check_special_map(X, graph=None):
     """Verify the direction labeling maps every vertex link to the one-vertex
-    model complex's link by a local isometry: injective on vertices, image a
-    full subcomplex.  Returns (ok, failures)."""
-    if graph is None:
-        graph = X.spec.graph
+    model complex's link by a local isometry: injective on vertices,
+    simplicial, image a full subcomplex.  Returns (ok, failures)."""
+    model = salvetti_link(X.spec.graph if graph is None else graph)
     failures = []
     for p in X.vertices():
         lk = vertex_link(X, p)
-        failures.extend(check_link_special(lk, graph, at=p))
+        failures.extend(check_link_special(lk, model, at=p))
     return (not failures), failures
 
 
-def check_link_special(lk, graph, at=None):
-    """Local-isometry conditions for a single link; returns failure records."""
+def check_link_special(lk, model, at=None):
+    """Local-isometry conditions for a single link against the model link
+    (`salvetti_link`): labels injective, every link edge mapped onto a model
+    edge ("not simplicial"), and every model edge between two image vertices
+    hit by a link edge ("not full").  Returns failure records."""
     failures = []
-    seen = {}
-    for lv in sorted(lk.verts, key=str):
-        lab = _label(lv)
+    labeled = [(lv, _label(lv)) for lv in sorted(lk.verts, key=str)]
+    seen = set()
+    for _, lab in labeled:
         if lab in seen:
             failures.append(("not injective", at, lab))
-        else:
-            seen[lab] = lv
-    for a, b in combinations(sorted(lk.verts, key=str), 2):
-        (u, _), (w, _) = _label(a), _label(b)
-        if u != w and graph.adjacent(u, w) and not lk.has_edge(a, b):
-            failures.append(("not full", at, (_label(a), _label(b))))
+        seen.add(lab)
+    for (a, la), (b, lb) in combinations(labeled, 2):
+        # la == lb would look up the vertex {la}, not an edge
+        linked = frozenset((a, b)) in lk.simplices
+        if linked != (la != lb and frozenset((la, lb)) in model.simplices):
+            failures.append(("not simplicial" if linked else "not full", at,
+                             (la, lb)))
     return failures
 
 

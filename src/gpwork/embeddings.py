@@ -109,14 +109,6 @@ def co_contraction_embedding(g, e, orders, mirror=False):
     return HomomorphismSpec(src, tgt, images)
 
 
-def compose(h1, h2):
-    """The composite h2 . h1 (apply h1 first); specs must chain."""
-    if h1.target != h2.source:
-        raise ValueError("homomorphisms do not chain")
-    images = [(v, h2.apply(w)) for v, w in h1.images]
-    return HomomorphismSpec(h1.source, h2.target, images)
-
-
 def relator_check(h):
     """Verify every source relator maps to the identity.
 

@@ -4,9 +4,10 @@ Graphs are immutable.  The stored vertex order is part of the value: it fixes
 tie-breaking for witnesses, canonical forms and text output, but isomorphism
 tests ignore it.
 
-The search routines (holes, induced patterns, isomorphism, canonical forms,
-enumeration) run on `SimpleGraph.masks`, one adjacency bitmask per vertex.
-Vertices are colored by iterated neighbor-degree refinement (`_refine`).
+The search routines (holes, cliques, induced patterns, isomorphism, canonical
+forms, enumeration) run on `SimpleGraph.masks`, one adjacency bitmask per
+vertex.  Vertices are colored by iterated neighbor-degree refinement
+(`_refine`).
 The canonical form is the least graph6-order bit string (upper triangle,
 column by column) over all relabelings that list the color classes in color
 order, each class in any order.  `canonical_bits` finds it by filling
@@ -85,43 +86,6 @@ class SimpleGraph:
         out.sort(key=lambda p: (ix[p[0]], ix[p[1]]))
         return out
 
-    def degree_sequence(self):
-        return tuple(sorted(len(self.adj[v]) for v in self.vertices))
-
-    def is_complete(self):
-        n = len(self.vertices)
-        return len(self.edges) == n * (n - 1) // 2
-
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-    def components(self):
-        """Vertex sets of connected components, ordered by least vertex."""
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in self.adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
 
 def opposite(g):
     """Complement graph on the same ordered vertex list."""
@@ -138,16 +102,6 @@ def induced_subgraph(g, keep):
     verts = tuple(v for v in g.vertices if v in keep)
     edges = {e for e in g.edges if e <= keep}
     return SimpleGraph(verts, edges)
-
-
-def link(g, v):
-    if v not in g.adj:
-        raise ValueError("unknown vertex %r" % (v,))
-    return set(g.adj[v])
-
-
-def star(g, v):
-    return {v} | link(g, v)
 
 
 def contract_edge(g, e):
@@ -213,6 +167,20 @@ def _subsets(indices, k):
         yield subset, mask
 
 
+def cliques(g):
+    """Every clique of g as a vertex frozenset: the empty one first, then by
+    size, each size in lexicographic vertex order."""
+    verts, masks = g.vertices, g.masks
+    out = [frozenset()]
+    # (clique, mask of the common neighbors after its last vertex)
+    layer = [((), (1 << len(verts)) - 1)]
+    while layer:
+        layer = [(c + (v,), cand & masks[v] & -(2 << v))  # -(2 << v): bits > v
+                 for c, cand in layer for v in _members(cand)]
+        out.extend(frozenset(verts[i] for i in c) for c, _ in layer)
+    return out
+
+
 def find_hole(g, min_len=5):
     """Shortest induced cycle of length >= min_len, lexicographically least.
 
@@ -241,11 +209,6 @@ def find_hole(g, min_len=5):
     return None
 
 
-def is_chordal(g):
-    """No induced cycle of length >= 4."""
-    return find_hole(g, 4) is None
-
-
 def is_weakly_chordal(g):
     """(verdict, witness): no hole of length >= 5 in g nor in its opposite.
 
@@ -259,35 +222,6 @@ def is_weakly_chordal(g):
     if anti is not None:
         return False, ("antihole", anti)
     return True, None
-
-
-def complete_separator(g):
-    """Split g as (g1, g2, g0) with g0 = g1 ∩ g2 a complete separator.
-
-    Returns None when g is complete.  A disconnected graph splits trivially
-    with empty g0.  The separator returned is the smallest clique separator,
-    ties broken lexicographically in vertex order.
-    """
-    if g.is_complete():
-        return None
-    comps = g.components()
-    if len(comps) > 1:
-        left = comps[0]
-        right = set(g.vertices) - left
-        return (induced_subgraph(g, left), induced_subgraph(g, right),
-                SimpleGraph((), ()))
-    for size in range(1, len(g.vertices) - 1):
-        for cand in combinations(g.vertices, size):
-            if any(not g.adjacent(u, v) for u, v in combinations(cand, 2)):
-                continue
-            rest = induced_subgraph(g, set(g.vertices) - set(cand))
-            comps = rest.components()
-            if len(comps) > 1:
-                left = set(cand) | comps[0]
-                right = set(g.vertices) - comps[0]
-                return (induced_subgraph(g, left), induced_subgraph(g, right),
-                        induced_subgraph(g, cand))
-    return None
 
 
 # -- isomorphism and canonical forms --------------------------------------

@@ -217,6 +217,14 @@ def unpruned_enumeration(n):
     return tuple(sorted(map(write_graph6, seen.values())))
 
 
+def subset_cliques(g):
+    """Every vertex subset of g that is pairwise adjacent, by size, then in
+    lexicographic vertex order."""
+    return [frozenset(c) for k in range(len(g.vertices) + 1)
+            for c in combinations(g.vertices, k)
+            if all(g.adjacent(u, v) for u, v in combinations(c, 2))]
+
+
 def direct_cell_count(X):
     """Count cells of a box complex by explicitly listing them."""
     counts = {}

@@ -103,6 +103,10 @@ def test_spec_documented_examples():
     code, out = run_cli(["word", "eq", "b b^-1", "1",
                          "--spec", fixture("fig2a.spec")])
     assert (code, out) == (0, "true\n")
+    # word literals go before or after the options
+    for argv in (["word", "mul", "--name", "C5", "v1", "v2"],
+                 ["word", "mul", "v1", "--name", "C5", "v2"]):
+        assert run_cli(argv) == (0, "v1 v2\n")
     code, out = run_cli(["complex", "special", "--spec", fixture("fig2a.spec"),
                          "-q", "4"])
     assert (code, out) == (0, "special=yes\n")
@@ -150,7 +154,7 @@ def golden_census_3():
     return out
 
 
-def test_error_exit_codes():
+def test_error_exit_codes(capsys):
     code, _ = run_cli(["graph", "wc", "--name", "nosuch"])
     assert code == 2
     code, _ = run_cli(["graph", "induced", "--name", "C5"])  # missing --verts
@@ -173,9 +177,21 @@ def test_error_exit_codes():
     code, _ = run_cli(["embed", "cocontract", "--name", "C6",
                        "--edge", "v1,v3", "--orders", "v1=2"])
     assert code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["frobnicate"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    # an error found after the homomorphism is built still writes nothing
+    # to stdout
+    assert run_cli(["embed", "cocontract", "--name", "C6",
+                    "--edge", "v1,v3", "-L", "-1"]) == (2, "")
+    assert capsys.readouterr().err == "error: max_len must be >= 0\n"
+    for orders in ("x", "a=x"):
+        assert run_cli(["word", "inv", "a", "--name", "P3",
+                        "--orders", orders]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --orders: 'x' is not an integer or inf\n")
+    for argv in (["frobnicate"], ["word", "mul", "--name", "C5", "v1", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("op, text, line", [
@@ -344,11 +360,16 @@ if HAVE_HYPOTHESIS:
             + opt("--certificate"),
             lambda: ["census", "-n", str(draw(st.integers(-1, 4)))],
         )))()
-        err = io.StringIO()
-        with redirect_stderr(err):
-            try:
-                code, _ = run_cli(argv, draw(input_texts("complex")))
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
+        out, err = io.StringIO(), io.StringIO()
+        old_stdin, sys.stdin = sys.stdin, io.StringIO(draw(input_texts("complex")))
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        finally:
+            sys.stdin = old_stdin
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "", argv

@@ -142,7 +142,7 @@ def test_duplicate_label_link_is_not_special():
     # a hand-built link where two vertices carry the same signed direction
     lk = LinkComplex(frozenset({("a", 1, 0), ("a", 1, 1)}),
                      frozenset({frozenset({("a", 1, 0)}), frozenset({("a", 1, 1)})}))
-    failures = check_link_special(lk, catalog.path(2))
+    failures = check_link_special(lk, salvetti_link(catalog.path(2)))
     assert any(kind == "not injective" for kind, _, _ in failures)
 
 
@@ -151,8 +151,20 @@ def test_missing_edge_link_is_not_full():
     # directions is missing: the image is not a full subcomplex
     lk = LinkComplex(frozenset({("a", 1), ("b", 1)}),
                      frozenset({frozenset({("a", 1)}), frozenset({("b", 1)})}))
-    failures = check_link_special(lk, catalog.path(2))
+    failures = check_link_special(lk, salvetti_link(catalog.path(2)))
     assert any(kind == "not full" for kind, _, _ in failures)
+
+
+def test_square_on_non_commuting_directions_is_not_special():
+    # a and c do not commute in P3, so the square they span has link edges
+    # that the model link lacks: the labeling is not simplicial
+    X = CubeComplex(GroupSpec(catalog.path(3), INF),
+                    explicit_cubes=frozenset({((0, 0, 0), frozenset({"a", "c"}))}))
+    ok, failures = check_special_map(X)
+    assert not ok
+    assert {kind for kind, _, _ in failures} == {"not simplicial"}
+    assert len({at for _, at, _ in failures}) == 4
+    assert "special=no" in stats_line(X)
 
 
 def test_explicit_torus_cell_counts():

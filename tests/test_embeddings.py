@@ -4,7 +4,7 @@ import pytest
 
 from gpwork import catalog
 from gpwork.embeddings import (HomomorphismSpec, co_contraction_embedding,
-                               compose, double_homomorphism, format_homomorphism,
+                               double_homomorphism, format_homomorphism,
                                injectivity_sample, parse_homomorphism,
                                relator_check)
 from gpwork.graphs import SimpleGraph, enumerate_graphs, opposite
@@ -104,20 +104,6 @@ def test_apply_matches_fold_of_multiply():
         for _ in range(150):
             w = oracles.random_word(h.source, rng, 12)
             assert h.apply(w).syllables == fold_apply(h, w).syllables
-
-
-def test_compose():
-    g = catalog.path(5)
-    h1 = double_homomorphism(g, "c", 2)
-    h2 = HomomorphismSpec(h1.target, h1.target,
-                          [(v, Word(h1.target, ((v, 1),)))
-                           for v in g.vertices])  # identity
-    c = compose(h1, h2)
-    assert c.source == h1.source and c.target == h1.target
-    for v, w in c.images:
-        assert equal(w, h1.image(v))
-    with pytest.raises(ValueError):
-        compose(h2, h1)
 
 
 def test_injectivity_sample_passes_for_embeddings():

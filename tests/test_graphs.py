@@ -7,12 +7,12 @@ import pytest
 from gpwork import catalog
 from gpwork.graphs import (SimpleGraph, _automorphisms, _orbit_representatives,
                            _refine, are_isomorphic,
-                           canonical_bits, canonical_graph,
-                           co_contract, complete_separator, contract_edge,
+                           canonical_bits, canonical_graph, cliques,
+                           co_contract, contract_edge,
                            double_along_link, enumerate_graphs, find_hole,
-                           has_induced, induced_subgraph, is_chordal,
-                           is_weakly_chordal, link, opposite, read_edgelist,
-                           read_graph6, star, write_edgelist, write_graph6)
+                           has_induced, induced_subgraph,
+                           is_weakly_chordal, opposite, read_edgelist,
+                           read_graph6, write_edgelist, write_graph6)
 
 import oracles
 
@@ -57,8 +57,6 @@ def test_basic_accessors():
     g = catalog.path(4)
     assert g.vertices == ("a", "b", "c", "d")
     assert g.adjacent("a", "b") and not g.adjacent("a", "c")
-    assert g.degree_sequence() == (1, 1, 2, 2)
-    assert g.is_connected() and not g.is_complete()
     assert len(g) == 4
 
 
@@ -83,8 +81,6 @@ def test_induced_link_star():
     sub = induced_subgraph(g, ("v1", "v2", "v3"))
     assert sub.vertices == ("v1", "v2", "v3")
     assert len(sub.edges) == 2
-    assert link(g, "v1") == {"v2", "v5"}
-    assert star(g, "v1") == {"v1", "v2", "v5"}
 
 
 def test_contract_cycle_gives_smaller_cycle():
@@ -134,25 +130,15 @@ def test_weakly_chordal_examples():
     # C6 complement contains no long hole but C7 complement has an antihole
     ok, witness = is_weakly_chordal(opposite(catalog.cycle(7)))
     assert not ok and witness[0] == "antihole" and len(witness[1]) == 7
-    assert is_chordal(catalog.path(4))
-    assert not is_chordal(catalog.cycle(4))
 
 
-def test_complete_separator():
-    g = catalog.path(3)
-    split = complete_separator(g)
-    assert split is not None
-    g1, g2, g0 = split
-    assert g0.is_complete()
-    # a clique has no separator
-    assert complete_separator(opposite(catalog.path(3) if False else
-                                       SimpleGraph(("x",), []))) is None \
-        or True
-    assert complete_separator(SimpleGraph(("x", "y"), [("x", "y")])) is None
-    # disconnected graph: empty separator
-    g = SimpleGraph(("x", "y"), [])
-    g1, g2, g0 = complete_separator(g)
-    assert len(g0.vertices) == 0
+def test_cliques_match_subset_filter():
+    rng = random.Random(11)
+    for g in small_graphs(6):
+        h = shuffled(g, rng)
+        assert cliques(h) == oracles.subset_cliques(h)
+    assert cliques(SimpleGraph((), ())) == [frozenset()]
+    assert cliques(catalog.cycle(3))[-1] == frozenset({"v1", "v2", "v3"})
 
 
 def test_are_isomorphic_matches_brute_force():
