@@ -40,27 +40,19 @@ def _load_graph(args):
 
 def _parse_orders(text):
     """Uniform order (`2`, `inf`) or per-vertex `a=2,b=inf` assignments."""
-    def order(ms):
-        ms = ms.strip()
-        if ms in ("inf", "oo"):
-            return words.INF
-        try:
-            return int(ms)
-        except ValueError:
-            raise UsageError("--orders: %r is not an integer or inf"
-                             % (ms,)) from None
-
-    if "=" not in text:
-        return order(text)
-    return {v.strip(): order(ms)
-            for v, _, ms in (part.partition("=") for part in text.split(","))}
+    try:
+        if "=" not in text:
+            return words.parse_order(text.strip())
+        return {v.strip(): words.parse_order(ms.strip())
+                for v, _, ms in (part.partition("=") for part in text.split(","))}
+    except ValueError as exc:
+        raise UsageError("--orders: %s" % (exc,)) from None
 
 
 def _load_spec(args):
-    if getattr(args, "spec", None):
+    if args.spec:
         return words.parse_spec(_read_text(args.spec))
-    g = _load_graph(args)
-    return words.GroupSpec(g, _parse_orders(getattr(args, "orders", None) or "2"))
+    return words.GroupSpec(_load_graph(args), _parse_orders(args.orders or "2"))
 
 
 def _graph_args(p, with_orders=False):
@@ -136,13 +128,12 @@ def cmd_graph(args, out):
 
 def cmd_word(args, out):
     spec = _load_spec(args)
-    ws = [words.parse_word(spec, t) for t in args.words]
     op = args.op
     arity = 2 if op in ("mul", "eq") else 1
-    if len(ws) < arity:
-        raise UsageError("%s needs %s"
-                         % (op, "two words" if arity == 2 else "a word"))
-    ws = ws[:arity]
+    if len(args.words) != arity:
+        raise UsageError("%s takes %s, got %d" % (
+            op, "two words" if arity == 2 else "one word", len(args.words)))
+    ws = [words.parse_word(spec, t) for t in args.words]
     if op == "proj":
         if not args.vertex:
             raise UsageError("proj needs -v VERTEX")
@@ -161,15 +152,13 @@ def cmd_word(args, out):
 
 
 def _load_complex(args):
-    if getattr(args, "complex_file", None):
-        return complexes.parse_complex(_read_text(args.complex_file))
-    if getattr(args, "spec", None) or getattr(args, "name", None) \
-            or getattr(args, "file", None) or getattr(args, "g6", None):
-        spec = _load_spec(args)
-        if getattr(args, "q", None):
-            return complexes.build_zf(spec, args.q)
-        return complexes.build_z0(spec, getattr(args, "window", None))
-    return complexes.parse_complex(sys.stdin.read())
+    """The complex file (default stdin), or one built from a graph or spec."""
+    if args.complex_file or not (args.spec or args.name or args.file or args.g6):
+        return complexes.parse_complex(_read_text(args.complex_file or "-"))
+    spec = _load_spec(args)
+    if args.q:
+        return complexes.build_zf(spec, args.q)
+    return complexes.build_z0(spec, args.window)
 
 
 def cmd_complex(args, out):

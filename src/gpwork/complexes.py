@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from . import graphs
-from .words import GroupSpec, INF
+from .words import GroupSpec, INF, format_spec, spec_from_lines
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class Box:
     def n_edge_slots(self, v):
         r = self.by_vertex[v]
         return r[2] - r[1] if r[0] == "interval" else r[1]
-
-    def edge_fits(self, v, coord):
-        """Can a unit edge start at `coord` in direction v?"""
-        r = self.by_vertex[v]
-        return coord < r[2] if r[0] == "interval" else True
 
     def step(self, v, coord):
         r = self.by_vertex[v]
@@ -104,21 +99,6 @@ class CubeComplex:
                     seen.add(corner)
             return sorted(seen)
         return [tuple(pt) for pt in product(*(self.box.points(v) for v in self.dirs))]
-
-    def cubes(self):
-        """Iterate (base point, direction clique) over all cells."""
-        if self.explicit_cubes is not None:
-            yield from sorted(self.explicit_cubes, key=lambda c: (tuple(c[0]), sorted(map(str, c[1]))))
-            return
-        for clique in self.cliques:
-            axes = []
-            for v in self.dirs:
-                if v in clique:
-                    axes.append([c for c in self.box.points(v) if self.box.edge_fits(v, c)])
-                else:
-                    axes.append(list(self.box.points(v)))
-            for pt in product(*axes):
-                yield tuple(pt), clique
 
 
 def _corners(X, base, dset):
@@ -299,11 +279,11 @@ def _label(link_vertex):
     return link_vertex[0], link_vertex[1]
 
 
-def check_special_map(X, graph=None):
+def check_special_map(X):
     """Verify the direction labeling maps every vertex link to the one-vertex
     model complex's link by a local isometry: injective on vertices,
     simplicial, image a full subcomplex.  Returns (ok, failures)."""
-    model = salvetti_link(X.spec.graph if graph is None else graph)
+    model = salvetti_link(X.spec.graph)
     failures = []
     for p in X.vertices():
         lk = vertex_link(X, p)
@@ -381,51 +361,37 @@ def stats_line(X):
 
 def format_complex(X):
     """Serialize spec + box for piping between command-line invocations."""
-    from .words import format_spec
     if X.box is None:
         raise ValueError("only box-defined complexes can be serialized")
-    lines = format_spec(X.spec).rstrip("\n").splitlines()
-    for v, r in X.box.ranges:
-        if r[0] == "interval":
-            lines.append("box %s interval %d %d" % (v, r[1], r[2]))
-        else:
-            lines.append("box %s cyclic %d" % (v, r[1]))
-    return "\n".join(lines) + "\n"
+    return format_spec(X.spec) + "".join(
+        "box %s %s\n" % (v, " ".join(map(str, r))) for v, r in X.box.ranges)
+
+
+def _box_range(m, v, fields):
+    """The range of a `box <v> ...` line for a vertex of order m."""
+    kind = fields[0] if fields else None
+    try:
+        bounds = tuple(int(b) for b in fields[1:])
+    except ValueError:
+        bounds = ()
+    if len(bounds) != {"interval": 2, "cyclic": 1}.get(kind):
+        raise ValueError("expected `box <v> interval <lo> <hi>` "
+                         "or `box <v> cyclic <q>`")
+    if m is not INF and (kind == "cyclic" or bounds[1] - bounds[0] >= m):
+        raise ValueError("vertex %s has order %d, so its box is an interval "
+                         "of at most %d points" % (v, m, m))
+    Box({v: (kind,) + bounds})  # the range checks of Box
+    return (kind,) + bounds
 
 
 def parse_complex(text):
-    from .words import parse_spec
-    lines = text.splitlines()
-    spec = parse_spec("\n".join("" if l.strip().startswith("box") else l
-                                for l in lines))
-    ranges = {}
-    orders = spec.order
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line.startswith("box"):
-            continue
-        parts = line.split()
-        kind = parts[2] if len(parts) > 2 else None
-        try:
-            bounds = tuple(int(b) for b in parts[3:])
-        except ValueError:
-            bounds = ()
-        if len(bounds) != {"interval": 2, "cyclic": 1}.get(kind):
-            raise ValueError("line %d: expected `box <v> interval <lo> <hi>` "
-                             "or `box <v> cyclic <q>`" % lineno)
-        if parts[1] not in orders:
-            raise ValueError("line %d: unknown vertex %r" % (lineno, parts[1]))
-        m = orders[parts[1]]
-        if m is not INF and (kind == "cyclic" or bounds[1] - bounds[0] >= m):
-            raise ValueError("line %d: vertex %s has order %d, so its box is "
-                             "an interval of at most %d points"
-                             % (lineno, parts[1], m, m))
-        rng = (kind,) + bounds
-        try:
-            Box({parts[1]: rng})
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
-        ranges[parts[1]] = rng
+    """Read the text form of `format_complex`: a spec and one box line per
+    vertex."""
+    lines = graphs.read_lines(text, ("n", "e", "o", "box"))
+    spec = spec_from_lines(lines)
+    ranges = graphs.lines_by_vertex(
+        lines["box"], spec.order,
+        lambda v, fields: _box_range(spec.order[v], v, fields))
     missing = set(spec.graph.vertices) - set(ranges)
     if missing:
         raise ValueError("missing box ranges for %r" % (sorted(map(str, missing)),))

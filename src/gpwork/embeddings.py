@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import co_contract, double_along_link, opposite
+from .graphs import (co_contract, double_along_link, lines_by_vertex,
+                     opposite, read_lines)
 from .words import (GroupSpec, INF, Word, _normal_form, enumerate_elements,
                     invert, multiply, normalize, parse_word, format_word)
 
@@ -33,9 +34,6 @@ class HomomorphismSpec:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", tuple(items))
 
-    def image(self, v):
-        return dict(self.images)[v]
-
     def apply(self, w):
         """Image of a source word, in target normal form: the images of its
         syllables are concatenated and normalized once."""
@@ -49,12 +47,6 @@ class HomomorphismSpec:
         return _normal_form(self.target, syls)
 
 
-def _normalize_orders(g, orders):
-    if isinstance(orders, int) or orders is INF:
-        return {v: orders for v in g.vertices}
-    return dict(orders)
-
-
 def double_homomorphism(g, t, orders, mirror=False):
     """Embedding of the graph product over the double of g minus st(t) along
     lk(t) into the graph product over g.
@@ -63,12 +55,9 @@ def double_homomorphism(g, t, orders, mirror=False):
     to t u t^-1 (or t^-1 u t with mirror=True).  Orders pull back along the
     copy projection.
     """
-    orders = _normalize_orders(g, orders)
-    if orders.get(t) is not INF and orders.get(t, 0) < 2:
-        raise ValueError("vertex %r needs a nontrivial group" % (t,))
     tgt = GroupSpec(g, orders)
     dbl, rho = double_along_link(g, t)
-    src = GroupSpec(dbl, {u: orders[rho[u]] for u in dbl.vertices})
+    src = GroupSpec(dbl, {u: tgt.order[rho[u]] for u in dbl.vertices})
     conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
     images = []
     for u in dbl.vertices:
@@ -86,7 +75,6 @@ def co_contraction_embedding(g, e, orders, mirror=False):
     The contracted vertex y inherits the order of x and maps to t x t^-1; all
     other generators map to themselves.
     """
-    orders = _normalize_orders(g, orders)
     e = frozenset(e)
     if e not in opposite(g).edges:
         raise ValueError("%r is not an edge of the opposite graph"
@@ -95,9 +83,8 @@ def co_contraction_embedding(g, e, orders, mirror=False):
     x, t = sorted(e, key=g.index.__getitem__)
     src_graph = co_contract(g, e)
     y = "%s*%s" % (x, t)
-    src = GroupSpec(src_graph,
-                    {v: (orders[x] if v == y else orders[v])
-                     for v in src_graph.vertices})
+    src = GroupSpec(src_graph, {v: tgt.order[x if v == y else v]
+                                for v in src_graph.vertices})
     conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
     images = []
     for v in src_graph.vertices:
@@ -153,15 +140,8 @@ def format_homomorphism(h):
 
 
 def parse_homomorphism(source, target, text):
-    images = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 2)
-        if parts[0] != "im" or len(parts) < 2:
-            raise ValueError("line %d: expected `im <v> <word>`" % lineno)
-        v = parts[1]
-        word = parse_word(target, parts[2] if len(parts) > 2 else "")
-        images.append((v, word))
+    """Read `im <source vertex> <target word>` lines, one per source vertex."""
+    images = lines_by_vertex(
+        read_lines(text, ("im",))["im"], source.order,
+        lambda v, fields: parse_word(target, " ".join(fields)))
     return HomomorphismSpec(source, target, images)

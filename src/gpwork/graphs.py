@@ -18,6 +18,7 @@ and automorphism groups come from one backtracking search (`_bijections`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -35,16 +36,9 @@ class SimpleGraph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         vset = set(vertices)
-        norm = set()
-        for e in edges:
-            u, v = tuple(e)
-            if u == v:
-                raise ValueError("self-loop at %r" % (u,))
-            if u not in vset or v not in vset:
-                raise ValueError("edge %r has an unknown endpoint" % ((u, v),))
-            norm.add(frozenset((u, v)))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges",
+                           frozenset([_edge(vset, tuple(e)) for e in edges]))
 
     @cached_property
     def index(self):
@@ -85,6 +79,16 @@ class SimpleGraph:
             out.append((u, v))
         out.sort(key=lambda p: (ix[p[0]], ix[p[1]]))
         return out
+
+
+def _edge(vertices, pair):
+    """The edge {u, v} of the pair (u, v), checked against the vertex set."""
+    u, v = pair
+    if u == v:
+        raise ValueError("self-loop at %r" % (u,))
+    if u not in vertices or v not in vertices:
+        raise ValueError("edge %r has an unknown endpoint" % ((u, v),))
+    return frozenset(pair)
 
 
 def opposite(g):
@@ -377,19 +381,16 @@ def canonical_bits(g):
     return _canonical(g if isinstance(g, tuple) else g.masks)
 
 
-def _from_bits(labels, bits):
-    """The graph on `labels` with graph6-order adjacency bits."""
-    pairs = ((labels[i], labels[j])
-             for j in range(1, len(labels)) for i in range(j))
+def _from_bits(n, bits):
+    """The graph on v1..vn with graph6-order adjacency bits."""
+    labels = ["v%d" % (i + 1) for i in range(n)]
+    pairs = ((labels[i], labels[j]) for j in range(1, n) for i in range(j))
     return SimpleGraph(labels, [p for p, b in zip(pairs, bits) if b])
 
 
-def canonical_graph(g, labels=None):
-    """Relabel g into its canonical form, with labels v1..vn by default."""
-    n, bits = canonical_bits(g)
-    if labels is None:
-        labels = ["v%d" % (i + 1) for i in range(n)]
-    return _from_bits(labels, bits)
+def canonical_graph(g):
+    """Relabel g into its canonical form, with labels v1..vn."""
+    return _from_bits(*canonical_bits(g))
 
 
 _ENUM_CACHE = {}
@@ -490,7 +491,7 @@ def read_graph6(text):
         bits.extend((c >> s) & 1 for s in range(5, -1, -1))
     if any(bits[n * (n - 1) // 2:]):
         raise ValueError("nonzero padding bits in graph6 string")
-    return _from_bits(["v%d" % (i + 1) for i in range(n)], bits)
+    return _from_bits(n, bits)
 
 
 def write_edgelist(g):
@@ -501,33 +502,78 @@ def write_edgelist(g):
     return "\n".join(lines) + "\n"
 
 
-def read_edgelist(text):
-    verts = None
-    edges = []
+def read_lines(text, directives):
+    """The directive lines of a text, as {directive: [(line number, fields
+    after the directive), ...]} in text order, for each of `directives`.
+
+    Blank lines and `#` comments are skipped; any other directive is an error
+    naming its line.  Each text format is read from one such scan, the
+    directives of each layer by that layer's reader: `read_edgelist` takes
+    `n` and `e`, `words.parse_spec` adds `o`, `complexes.parse_complex`
+    adds `box`; `embeddings.parse_homomorphism` reads `im`."""
+    found = {d: [] for d in directives}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        parts = line.split()
-        if parts[0] == "n":
-            if verts is not None:
-                raise ValueError("line %d: repeated header" % lineno)
-            try:
-                count = int(parts[1])
-            except (IndexError, ValueError):
-                raise ValueError("line %d: `n` needs an integer vertex count"
-                                 % lineno) from None
-            verts = parts[2:]
-            if len(verts) != count:
-                raise ValueError("line %d: label count mismatch" % lineno)
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise ValueError("line %d: malformed edge line" % lineno)
-            edges.append((parts[1], parts[2]))
-        elif parts[0] == "o":
-            continue  # group-order lines belong to the spec format
-        else:
-            raise ValueError("line %d: unknown directive %r" % (lineno, parts[0]))
-    if verts is None:
+        if fields[0] not in found:
+            raise ValueError("line %d: unknown directive %r" % (lineno, fields[0]))
+        found[fields[0]].append((lineno, fields[1:]))
+    return found
+
+
+@contextmanager
+def _at_line(lineno):
+    """Prefix the message of a ValueError raised inside with its line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
+
+
+def lines_by_vertex(entries, vertices, parse):
+    """{v: parse(v, fields)} over the `(line number, [v, *fields])` entries
+    of one directive from `read_lines`.  A line without a vertex, with one
+    outside `vertices` or one an earlier line gave, or one that `parse`
+    rejects with a ValueError, is an error naming its line."""
+    out = {}
+    for lineno, fields in entries:
+        v = fields[0] if fields else None
+        with _at_line(lineno):
+            if v not in vertices:
+                raise ValueError("unknown vertex %r" % (v,) if fields
+                                 else "no vertex")
+            if v in out:
+                raise ValueError("a second line for vertex %r" % (v,))
+            out[v] = parse(v, fields[1:])
+    return out
+
+
+def graph_from_lines(lines):
+    """The graph of the `n` header and `e` lines found by `read_lines`."""
+    if not lines["n"]:
         raise ValueError("missing `n` header line")
-    return SimpleGraph(verts, edges)
+    (lineno, fields), *repeats = lines["n"]
+    if repeats:
+        raise ValueError("line %d: repeated header" % repeats[0][0])
+    with _at_line(lineno):
+        try:
+            count = int(fields[0])
+        except (IndexError, ValueError):
+            raise ValueError("`n` needs an integer vertex count") from None
+        if len(fields) - 1 != count:
+            raise ValueError("label count mismatch")
+        g = SimpleGraph(fields[1:])
+    edges = []
+    for lineno, fields in lines["e"]:
+        with _at_line(lineno):
+            if len(fields) != 2:
+                raise ValueError("malformed edge line")
+            edges.append(_edge(g.index, fields))
+    return SimpleGraph(g.vertices, edges)
+
+
+def read_edgelist(text):
+    """Read the text form of `write_edgelist`; a spec file's `o` lines are
+    skipped."""
+    return graph_from_lines(read_lines(text, ("n", "e", "o")))

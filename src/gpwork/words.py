@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .graphs import SimpleGraph
+from . import graphs
 
 INF = None  # vertex-group order marker for the infinite cyclic group
 
@@ -32,7 +32,7 @@ INF = None  # vertex-group order marker for the infinite cyclic group
 class GroupSpec:
     """A graph plus a cyclic-group order for each vertex."""
 
-    graph: SimpleGraph
+    graph: graphs.SimpleGraph
     orders: tuple
 
     def __init__(self, graph, orders):
@@ -42,10 +42,7 @@ class GroupSpec:
         for v in graph.vertices:
             if v not in orders:
                 raise ValueError("vertex %r has no order" % (v,))
-            m = orders[v]
-            if m is not INF and m < 2:
-                raise ValueError("order of %r must be >= 2 or infinite" % (v,))
-            items.append((v, m))
+            items.append((v, _checked_order(v, orders[v])))
         if set(orders) - set(graph.vertices):
             raise ValueError("order given for unknown vertex")
         object.__setattr__(self, "graph", graph)
@@ -71,6 +68,12 @@ class GroupSpec:
     def reduce_exp(self, v, e):
         m = self.order[v]
         return e % m if m is not INF else e
+
+
+def _checked_order(v, m):
+    if m is not INF and m < 2:
+        raise ValueError("order of %r must be >= 2 or infinite" % (v,))
+    return m
 
 
 @dataclass(frozen=True)
@@ -291,53 +294,47 @@ def parse_word(spec, text):
         return identity(spec)
     syls = []
     for tok in text.split():
-        if "^" in tok:
-            v, _, es = tok.partition("^")
-            try:
-                e = int(es)
-            except ValueError:
-                raise ValueError("bad exponent in %r" % (tok,))
-        else:
-            v, e = tok, 1
+        v, caret, es = tok.partition("^")
+        try:
+            e = int(es) if caret else 1
+        except ValueError:
+            raise ValueError("bad exponent in %r" % (tok,)) from None
         if v not in spec.order:
             raise ValueError("unknown vertex %r in word" % (v,))
-        if e == 0:
-            continue
-        if spec.order[v] is not INF and e < 0:
-            e = spec.reduce_exp(v, e)
         syls.append((v, e))
-    return Word(spec, [s for s in syls if spec.reduce_exp(*s) != 0])
+    # Word reduces each exponent; it refuses the ones that reduce to zero
+    return Word(spec, [s for s in syls if spec.reduce_exp(*s)])
 
 
 def format_spec(spec):
-    from .graphs import write_edgelist
-    lines = write_edgelist(spec.graph).rstrip("\n").splitlines()
-    for v, m in spec.orders:
-        lines.append("o %s %s" % (v, "inf" if m is INF else m))
-    return "\n".join(lines) + "\n"
+    return graphs.write_edgelist(spec.graph) + "".join(
+        "o %s %s\n" % (v, "inf" if m is INF else m) for v, m in spec.orders)
+
+
+def parse_order(token):
+    """A vertex-group order token: an integer, or `inf` (or `oo`) for the
+    infinite cyclic group."""
+    if token in ("inf", "oo"):
+        return INF
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("%r is not an integer or inf" % (token,)) from None
+
+
+def _order_line(v, fields):
+    if len(fields) != 1:
+        raise ValueError("expected `o <vertex> <order>`")
+    return _checked_order(v, parse_order(fields[0]))
+
+
+def spec_from_lines(lines):
+    """The spec of the `n`, `e` and `o` lines found by `graphs.read_lines`."""
+    graph = graphs.graph_from_lines(lines)
+    return GroupSpec(graph, graphs.lines_by_vertex(lines["o"], graph.index,
+                                                   _order_line))
 
 
 def parse_spec(text):
     """Parse the edge-list format extended with `o <v> <m|inf>` lines."""
-    from .graphs import read_edgelist
-    graph = read_edgelist(text)
-    orders = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "o":
-            continue
-        if len(parts) != 3:
-            raise ValueError("line %d: malformed order line" % lineno)
-        v, ms = parts[1], parts[2]
-        try:
-            orders[v] = INF if ms in ("inf", "oo") else int(ms)
-        except ValueError:
-            raise ValueError("line %d: order %r is not an integer or inf"
-                             % (lineno, ms)) from None
-    missing = set(graph.vertices) - set(orders)
-    if missing:
-        raise ValueError("missing orders for %r" % (sorted(map(str, missing)),))
-    return GroupSpec(graph, orders)
+    return spec_from_lines(graphs.read_lines(text, ("n", "e", "o")))

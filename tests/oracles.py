@@ -226,10 +226,18 @@ def subset_cliques(g):
 
 
 def direct_cell_count(X):
-    """Count cells of a box complex by explicitly listing them."""
+    """Count cells of a box complex by explicitly listing them: a cell per
+    clique of directions and base point from which a unit edge fits along
+    each direction of the clique (always, on a cyclic axis)."""
     counts = {}
-    for base, clique in X.cubes():
-        counts[len(clique)] = counts.get(len(clique), 0) + 1
+    box = X.box
+    for clique in X.cliques:
+        axes = [[c for c in box.points(v)
+                 if v not in clique or box.by_vertex[v][0] == "cyclic"
+                 or c < box.by_vertex[v][2]]
+                for v in X.dirs]
+        for base in product(*axes):
+            counts[len(clique)] = counts.get(len(clique), 0) + 1
     return counts
 
 

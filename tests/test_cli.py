@@ -8,7 +8,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import gpwork
+from gpwork import catalog
 from gpwork.cli import main
+from gpwork.graphs import opposite
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -188,6 +190,16 @@ def test_error_exit_codes(capsys):
                         "--orders", orders]) == (2, "")
         assert capsys.readouterr().err == (
             "error: --orders: 'x' is not an integer or inf\n")
+    # a word literal beyond the op's count is refused, not dropped
+    for argv, err in (
+            (["word", "normalize", "--name", "C5", "v1", "v2", "v3"],
+             "normalize takes one word, got 3"),
+            (["word", "mul", "v1", "--name", "C5", "v2", "v3"],
+             "mul takes two words, got 3"),
+            (["word", "eq", "v1", "v1", "v2", "--name", "C5"],
+             "eq takes two words, got 3")):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == "error: %s\n" % err
     for argv in (["frobnicate"], ["word", "mul", "--name", "C5", "v1", "--bogus"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
@@ -206,6 +218,16 @@ def test_error_exit_codes(capsys):
     ("complex", "n 1 a\no a 2\n\nbox a interval 0 2\n", 4),  # 3 points, order 2
     ("complex", "n 1 a\no a inf\nbox a interval 2 1\n", 3),  # empty interval
     ("embed", "# no vertex\nim\n", 2),
+    # one line per vertex and directive, naming a vertex of the graph
+    ("word", "n 1 a\no a 2\no a 3\n", 3),           # repeated order
+    ("complex", "n 1 a\no a 2\nbox a interval 0 1\nbox a interval 0 0\n",
+     4),                                            # repeated box
+    ("embed", "im a a\n\nim a 1\n", 3),             # repeated image
+    ("word", "n 1 a\no a 2\no z 2\n", 3),           # unknown vertex's order
+    ("embed", "im a a\nim z a\n", 2),               # unknown vertex's image
+    ("word", "n 2 a a\no a 2\n", 1),                # repeated label
+    ("word", "n 1 a\ne a a\no a 2\n", 2),           # self-loop
+    ("word", "n 1 a\ne a z\no a 2\n", 2),           # unknown endpoint
     ("graph", "NOPE", "error: unknown graph name 'NOPE'\n"),
 ])
 def test_malformed_input_exits_2_with_line_number(tmp_path, capsys, op, text,
@@ -265,6 +287,7 @@ def test_console_script_determinism():
 
 if HAVE_HYPOTHESIS:
     LABELS = ("a", "b", "c", "d")
+    REGISTRY = ("C5", "C6", "C6opp", "P4", "P5", "P7opp", "Fig8", "Lambda7")
     JUNK = ("", "z", "a'", "x*y", "#", "^", "-1", "0", "1", "2", "3", "inf",
             "x", "n", "e", "o", "box", "im", "interval", "cyclic")
 
@@ -333,6 +356,20 @@ if HAVE_HYPOTHESIS:
         def op(*ops):
             return draw(st.sampled_from(ops))
 
+        def registry_embed():
+            # a homomorphism that builds, so that a bad -L fails after it
+            name = draw(st.sampled_from(REGISTRY))
+            g = catalog.by_name(name)
+            if draw(st.booleans()):
+                how = ["double", "-t", draw(st.sampled_from(g.vertices))]
+            else:
+                edge = draw(st.sampled_from(opposite(g).sorted_edges()))
+                how = ["cocontract", "--edge", ",".join(edge)]
+            return (["embed", how[0], "--name", name] + how[1:]
+                    + opt("--orders", draw(st.sampled_from(("2", "3", "inf"))))
+                    + opt("--verify") + opt("--mirror")
+                    + ["-L", draw(st.sampled_from(("-1", "0", "1")))])
+
         argv = draw(st.sampled_from((
             lambda: ["graph", op("opp", "induced", "contract", "cocontract",
                                  "double", "hole", "wc", "iso", "enum"),
@@ -349,6 +386,7 @@ if HAVE_HYPOTHESIS:
             + opt(cpx) + opt("--spec", spec) + opt("--file", spec) + orders()
             + opt("-q", str(draw(st.integers(0, 4))))
             + opt("--window", str(draw(st.integers(-1, 3)))),
+            registry_embed,
             lambda: ["embed", op("double", "cocontract", "verify",
                                  "inject-sample")]
             + opt("--file", spec) + opt("-t", draw(name))
