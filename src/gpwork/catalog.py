@@ -8,7 +8,7 @@ is how they are usually drawn; the constructors here return the graph itself
 
 from __future__ import annotations
 
-from .graphs import SimpleGraph, opposite
+from .graphs import SimpleGraph, induced_subgraph, opposite
 
 
 def cycle(m):
@@ -93,18 +93,14 @@ def phi_graph(i):
 
 def p1_7_opp():
     """Seven-vertex pattern graph (drawn form): Phi_4^opp without vertex a."""
-    verts = ("b", "c", "e", "f", "g", "e'", "c'")
-    edges = [("b", "c"), ("e", "f"), ("f", "g"), ("g", "e'"), ("b", "c'"),
-             ("c", "c'"), ("e", "e'"), ("c'", "e"), ("c", "e'")]
-    return SimpleGraph(verts, edges)
+    g = phi_opp(4)
+    return induced_subgraph(g, set(g.vertices) - {"a"})
 
 
 def p2_7_opp():
     """Seven-vertex pattern graph (drawn form): Phi_3^opp without vertex g."""
-    verts = ("a", "b", "c", "e", "f", "c'", "e'")
-    edges = [("a", "b"), ("b", "c"), ("e", "f"), ("b", "c'"), ("e'", "f"),
-             ("c", "c'"), ("e", "e'"), ("c'", "e"), ("c", "e'")]
-    return SimpleGraph(verts, edges)
+    g = phi_opp(3)
+    return induced_subgraph(g, set(g.vertices) - {"g"})
 
 
 def p1_7():

@@ -143,16 +143,11 @@ def witness_complex(g, witness):
             raise ValueError("antihole witness too short")
         steps = []
         cur = opposite(catalog.cycle(m))
-        ok_all = True
-        while True:
-            k = sum(1 for _ in cur.vertices)
-            if k == 5:
-                break
+        while len(cur.vertices) != 5:
             cyc = find_hole(opposite(cur), 5)  # the underlying cycle
             e = frozenset(cyc[:2])
             h = co_contraction_embedding(cur, e, 2)
             ok, _ = relator_check(h)
-            ok_all = ok_all and ok
             steps.append("cocontract %s relators=%s"
                          % (",".join(sorted(map(str, e))), "PASS" if ok else "FAIL"))
             cur = h.source.graph

@@ -43,8 +43,13 @@ def _parse_orders(text):
     try:
         if "=" not in text:
             return words.parse_order(text.strip())
-        return {v.strip(): words.parse_order(ms.strip())
-                for v, _, ms in (part.partition("=") for part in text.split(","))}
+        orders = {}
+        for part in text.split(","):
+            v, _, ms = (s.strip() for s in part.partition("="))
+            if v in orders:
+                raise ValueError("a second order for vertex %r" % (v,))
+            orders[v] = words.parse_order(ms)
+        return orders
     except ValueError as exc:
         raise UsageError("--orders: %s" % (exc,)) from None
 

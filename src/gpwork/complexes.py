@@ -61,20 +61,6 @@ class Box:
         r = self.by_vertex[v]
         return coord + 1 if r[0] == "interval" else (coord + 1) % r[1]
 
-    def contains(self, box2):
-        """Axis-aligned containment of another box with the same directions."""
-        for v, r in self.ranges:
-            r2 = box2.by_vertex.get(v)
-            if r2 is None:
-                return False
-            if r[0] != r2[0]:
-                return False
-            if r[0] == "interval" and not (r[1] <= r2[1] and r2[2] <= r[2]):
-                return False
-            if r[0] == "cyclic" and r[1] != r2[1]:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class CubeComplex:
@@ -240,26 +226,34 @@ def vertex_link(X, p):
 def is_npc(X):
     """Every vertex link must be a flag complex.  Returns (ok, offender)."""
     for p in X.vertices():
-        lk = vertex_link(X, p)
-        if not _is_flag(lk):
+        if not _is_flag(vertex_link(X, p)):
             return False, p
     return True, None
 
 
+def _skeleton(lk):
+    """The 1-skeleton of a link as a graph."""
+    return graphs.SimpleGraph(lk.verts, [tuple(s) for s in lk.simplices
+                                         if len(s) == 2])
+
+
 def _is_flag(lk):
-    verts = sorted(lk.verts, key=str)
-    edges = {s for s in lk.simplices if len(s) == 2}
-    # grow cliques of the 1-skeleton and demand each spans a simplex
-    for size in range(3, len(verts) + 1):
-        found = False
-        for cand in combinations(verts, size):
-            if all(frozenset(p) in edges for p in combinations(cand, 2)):
-                found = True
-                if frozenset(cand) not in lk.simplices:
-                    return False
-        if not found:
-            break
-    return True
+    """Every clique of the link's 1-skeleton spans a simplex."""
+    return all(len(c) < 3 or c in lk.simplices
+               for c in graphs.cliques(_skeleton(lk)))
+
+
+def _is_cycle(lk):
+    """The link's 1-skeleton is one cycle: every vertex has degree 2, and the
+    walk from vertex 0 comes back to it after visiting them all."""
+    masks = _skeleton(lk).masks
+    if not masks or any(m.bit_count() != 2 for m in masks):
+        return False
+    prev, cur, steps = 0, masks[0].bit_length() - 1, 1
+    while cur:
+        prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
+        steps += 1
+    return steps == len(masks)
 
 
 def salvetti_link(graph):
@@ -275,10 +269,6 @@ def salvetti_link(graph):
     return LinkComplex(frozenset(verts), frozenset(simplices))
 
 
-def _label(link_vertex):
-    return link_vertex[0], link_vertex[1]
-
-
 def check_special_map(X):
     """Verify the direction labeling maps every vertex link to the one-vertex
     model complex's link by a local isometry: injective on vertices,
@@ -286,18 +276,18 @@ def check_special_map(X):
     model = salvetti_link(X.spec.graph)
     failures = []
     for p in X.vertices():
-        lk = vertex_link(X, p)
-        failures.extend(check_link_special(lk, model, at=p))
+        failures.extend(check_link_special(vertex_link(X, p), model, at=p))
     return (not failures), failures
 
 
 def check_link_special(lk, model, at=None):
     """Local-isometry conditions for a single link against the model link
-    (`salvetti_link`): labels injective, every link edge mapped onto a model
-    edge ("not simplicial"), and every model edge between two image vertices
-    hit by a link edge ("not full").  Returns failure records."""
+    (`salvetti_link`): labels (direction, sign) injective, every link edge
+    mapped onto a model edge ("not simplicial"), and every model edge between
+    two image vertices hit by a link edge ("not full").  Returns failure
+    records."""
     failures = []
-    labeled = [(lv, _label(lv)) for lv in sorted(lk.verts, key=str)]
+    labeled = [(lv, lv[:2]) for lv in sorted(lk.verts, key=str)]
     seen = set()
     for _, lab in labeled:
         if lab in seen:
@@ -312,46 +302,33 @@ def check_link_special(lk, model, at=None):
     return failures
 
 
+def _pure_2d(counts):
+    """Whether the cell counts have squares and no higher cubes."""
+    return counts.get(2, 0) > 0 and not any(k >= 3 and c
+                                            for k, c in counts.items())
+
+
 def is_closed_surface(X):
     """True iff X is pure 2-dimensional, every edge bounds exactly two
     squares, and every vertex link is a single cycle."""
-    counts = cell_counts(X)
-    if counts.get(2, 0) == 0 or any(k >= 3 and c for k, c in counts.items()):
-        return False
-    for p in X.vertices():
-        lk = vertex_link(X, p)
-        if not lk.verts:
-            return False
-        edges = {s for s in lk.simplices if len(s) == 2}
-        deg = {v: 0 for v in lk.verts}
-        for e in edges:
-            for v in e:
-                deg[v] += 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        # single cycle: connected 2-regular graph
-        start = next(iter(sorted(lk.verts, key=str)))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for e in edges:
-                if cur in e:
-                    (other,) = e - {cur}
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        if len(seen) != len(lk.verts):
-            return False
-    return True
+    return _pure_2d(cell_counts(X)) and all(_is_cycle(vertex_link(X, p))
+                                            for p in X.vertices())
 
 
 def stats_line(X):
-    """Deterministic one-line report used by the command-line front end."""
+    """Deterministic one-line report used by the command-line front end.
+    Each vertex link is built once and feeds the flag, special and cycle
+    checks; the cycle check runs only on a pure 2-dimensional complex and
+    stops at the first link that fails it."""
     counts = cell_counts(X)
-    npc, _ = is_npc(X)
-    special, _ = check_special_map(X)
-    surface = is_closed_surface(X)
+    model = salvetti_link(X.spec.graph)
+    npc = special = True
+    surface = _pure_2d(counts)
+    for p in X.vertices():
+        lk = vertex_link(X, p)
+        npc = npc and _is_flag(lk)
+        special = special and not check_link_special(lk, model, at=p)
+        surface = surface and _is_cycle(lk)
     return ("V=%d E=%d F=%d C3=%d chi=%d npc=%s special=%s surface=%s"
             % (counts.get(0, 0), counts.get(1, 0), counts.get(2, 0),
                counts.get(3, 0), euler_characteristic(X),

@@ -43,8 +43,9 @@ class GroupSpec:
             if v not in orders:
                 raise ValueError("vertex %r has no order" % (v,))
             items.append((v, _checked_order(v, orders[v])))
-        if set(orders) - set(graph.vertices):
-            raise ValueError("order given for unknown vertex")
+        for v in orders:
+            if v not in graph.index:
+                raise ValueError("order given for unknown vertex %r" % (v,))
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "orders", tuple(items))
 

@@ -241,6 +241,67 @@ def direct_cell_count(X):
     return counts
 
 
+def subset_is_flag(lk):
+    """Whether every set of pairwise linked vertices of a link spans a
+    simplex, by scanning the vertex subsets of each size until a size has
+    none that is pairwise linked."""
+    verts = sorted(lk.verts, key=str)
+    edges = {s for s in lk.simplices if len(s) == 2}
+    for size in range(3, len(verts) + 1):
+        found = False
+        for cand in combinations(verts, size):
+            if all(frozenset(p) in edges for p in combinations(cand, 2)):
+                found = True
+                if frozenset(cand) not in lk.simplices:
+                    return False
+        if not found:
+            break
+    return True
+
+
+def edge_scan_is_cycle(lk):
+    """Whether a link's edges form one cycle through all its vertices: every
+    degree is 2, and a search that scans the whole edge set for each vertex
+    it reaches reaches them all."""
+    if not lk.verts:
+        return False
+    edges = {s for s in lk.simplices if len(s) == 2}
+    deg = {v: 0 for v in lk.verts}
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    start = min(lk.verts, key=str)
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for e in edges:
+            if cur in e:
+                (other,) = e - {cur}
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return len(seen) == len(lk.verts)
+
+
+def box_contains(box, box2):
+    """Axis-aligned containment of box2 in box, both on the same
+    directions."""
+    for v, r in box.ranges:
+        r2 = box2.by_vertex.get(v)
+        if r2 is None:
+            return False
+        if r[0] != r2[0]:
+            return False
+        if r[0] == "interval" and not (r[1] <= r2[1] and r2[2] <= r[2]):
+            return False
+        if r[0] == "cyclic" and r[1] != r2[1]:
+            return False
+    return True
+
+
 def random_syllables(spec, rng, n, exp_window=3):
     """n random syllables over the spec, exponents not reduced to zero."""
     from gpwork.words import INF

@@ -190,6 +190,13 @@ def test_error_exit_codes(capsys):
                         "--orders", orders]) == (2, "")
         assert capsys.readouterr().err == (
             "error: --orders: 'x' is not an integer or inf\n")
+    # one order per vertex, each for a vertex of the graph
+    for orders, err in (
+            ("a=2,b=2,a=3", "--orders: a second order for vertex 'a'"),
+            ("a=2,b=2,c=3", "order given for unknown vertex 'c'")):
+        assert run_cli(["word", "proj", "a a", "-v", "a", "--name", "P2",
+                        "--orders", orders]) == (2, "")
+        assert capsys.readouterr().err == "error: %s\n" % err
     # a word literal beyond the op's count is refused, not dropped
     for argv, err in (
             (["word", "normalize", "--name", "C5", "v1", "v2", "v3"],
@@ -332,9 +339,14 @@ if HAVE_HYPOTHESIS:
     def fuzz_dir(tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")
 
-    @given(st.data())
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    def test_fuzzed_inputs_exit_0_1_or_2(fuzz_dir, data):
+    FAMILIES = ("graph", "word", "complex", "embed-registry", "embed-file",
+                "classify", "census")
+
+    # a fixed share per command family: 7 x 17 = 119 examples
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=17, deadline=None, derandomize=True, database=None)
+    def test_fuzzed_inputs_exit_0_1_or_2(fuzz_dir, family, data):
         spec, cpx, hom = (fuzz_dir / "spec.txt", fuzz_dir / "complex.txt",
                           fuzz_dir / "hom.txt")
         for path, kind in ((spec, "spec"), (cpx, "complex"), (hom, "hom")):
@@ -370,34 +382,38 @@ if HAVE_HYPOTHESIS:
                     + opt("--verify") + opt("--mirror")
                     + ["-L", draw(st.sampled_from(("-1", "0", "1")))])
 
-        argv = draw(st.sampled_from((
-            lambda: ["graph", op("opp", "induced", "contract", "cocontract",
-                                 "double", "hole", "wc", "iso", "enum"),
-                     "--file", spec] + opt("--verts", draw(pair))
+        argv = {
+            "graph": lambda: [
+                "graph", op("opp", "induced", "contract", "cocontract",
+                            "double", "hole", "wc", "iso", "enum"),
+                "--file", spec] + opt("--verts", draw(pair))
             + opt("--edge", draw(pair)) + opt("-t", draw(name))
             + opt("--other", spec) + opt("-n", str(draw(st.integers(-1, 5))))
             + opt("--min-len", str(draw(st.integers(2, 6)))),
-            lambda: ["word", op("normalize", "mul", "inv", "eq", "proj", "kp0",
-                                "kpf")] + draw(st.lists(word, max_size=3))
+            "word": lambda: [
+                "word", op("normalize", "mul", "inv", "eq", "proj", "kp0",
+                           "kpf")] + draw(st.lists(word, max_size=3))
             + opt("--spec", spec) + opt("--file", spec) + orders()
             + opt("-v", draw(name)),
-            lambda: ["complex", op("build-z0", "build-zf", "stats", "npc",
-                                   "special", "surface")]
+            "complex": lambda: [
+                "complex", op("build-z0", "build-zf", "stats", "npc",
+                              "special", "surface")]
             + opt(cpx) + opt("--spec", spec) + opt("--file", spec) + orders()
             + opt("-q", str(draw(st.integers(0, 4))))
             + opt("--window", str(draw(st.integers(-1, 3)))),
-            registry_embed,
-            lambda: ["embed", op("double", "cocontract", "verify",
-                                 "inject-sample")]
+            "embed-registry": registry_embed,
+            "embed-file": lambda: [
+                "embed", op("double", "cocontract", "verify", "inject-sample")]
             + opt("--file", spec) + opt("-t", draw(name))
             + opt("--edge", draw(pair)) + orders() + opt("--verify")
             + opt("--mirror") + opt("-L", str(draw(st.integers(-1, 2))))
             + opt("--source-spec", spec) + opt("--target-spec", spec)
             + opt("--hom", hom),
-            lambda: ["classify", "--file", spec, "--group", op("racg", "raag")]
+            "classify": lambda: [
+                "classify", "--file", spec, "--group", op("racg", "raag")]
             + opt("--certificate"),
-            lambda: ["census", "-n", str(draw(st.integers(-1, 4)))],
-        )))()
+            "census": lambda: ["census", "-n", str(draw(st.integers(-1, 4)))],
+        }[family]()
         out, err = io.StringIO(), io.StringIO()
         old_stdin, sys.stdin = sys.stdin, io.StringIO(draw(input_texts("complex")))
         try:

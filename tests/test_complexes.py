@@ -1,15 +1,24 @@
+from itertools import product
+
 import pytest
 
-from gpwork import catalog
-from gpwork.complexes import (Box, CubeComplex, LinkComplex, build_z0, build_zf,
+from gpwork import catalog, complexes
+from gpwork.complexes import (Box, CubeComplex, LinkComplex, _close_faces,
+                              _is_cycle, _is_flag, build_z0, build_zf,
                               cell_counts, check_link_special, check_special_map,
                               euler_characteristic, format_complex, is_closed_surface,
                               is_npc, parse_complex, salvetti_link, stats_line,
                               vertex_link)
-from gpwork.graphs import SimpleGraph
+from gpwork.graphs import SimpleGraph, enumerate_graphs
 from gpwork.words import INF, GroupSpec
 
 import oracles
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 
 def example_spec():
@@ -32,7 +41,8 @@ def test_box_validation():
 def test_box_containment():
     big = Box({"a": ("interval", 0, 3)})
     small = Box({"a": ("interval", 1, 2)})
-    assert big.contains(small) and not small.contains(big)
+    assert oracles.box_contains(big, small)
+    assert not oracles.box_contains(small, big)
 
 
 def test_cell_counts_match_direct_enumeration():
@@ -121,21 +131,83 @@ def _triangle_spec():
     return GroupSpec(catalog.cycle(3), INF)
 
 
+def _corner(*dsets):
+    """Cubes at the origin spanning the given direction sets of C3."""
+    return CubeComplex(_triangle_spec(), explicit_cubes=frozenset(
+        ((0, 0, 0), frozenset(d)) for d in dsets))
+
+
+def _hollow_corner():
+    """Three squares forming the corner of a cube with no 3-cube filling it."""
+    return _corner(("v1", "v2"), ("v1", "v3"), ("v2", "v3"))
+
+
+def _filled_corner():
+    return _corner(("v1", "v2", "v3"))
+
+
+def _noncommuting_square():
+    """A square on a and c, which do not commute in P3."""
+    return CubeComplex(GroupSpec(catalog.path(3), INF),
+                       explicit_cubes=frozenset({((0, 0, 0), frozenset({"a", "c"}))}))
+
+
 def test_hollow_corner_is_not_npc():
-    # three squares forming the corner of a cube with no 3-cube filling it
-    spec = _triangle_spec()
-    cubes = frozenset({
-        ((0, 0, 0), frozenset({"v1", "v2"})),
-        ((0, 0, 0), frozenset({"v1", "v3"})),
-        ((0, 0, 0), frozenset({"v2", "v3"})),
-    })
-    X = CubeComplex(spec, explicit_cubes=cubes)
-    ok, offender = is_npc(X)
+    ok, offender = is_npc(_hollow_corner())
     assert not ok and offender == (0, 0, 0)
     # filling in the 3-cube restores the flag condition
-    filled = CubeComplex(spec, explicit_cubes=frozenset(
-        {((0, 0, 0), frozenset({"v1", "v2", "v3"}))}))
-    assert is_npc(filled) == (True, None)
+    assert is_npc(_filled_corner()) == (True, None)
+
+
+def test_link_predicates_match_oracles_on_corners():
+    for X in (_hollow_corner(), _filled_corner()):
+        for p in X.vertices():
+            lk = vertex_link(X, p)
+            assert _is_flag(lk) == oracles.subset_is_flag(lk)
+            assert _is_cycle(lk) == oracles.edge_scan_is_cycle(lk)
+    # the hollow corner's link at the origin is a triangle with no 2-simplex:
+    # a cycle, and not flag
+    origin = vertex_link(_hollow_corner(), (0, 0, 0))
+    assert not _is_flag(origin) and _is_cycle(origin)
+
+
+def _stats_cases():
+    """Every graph on at most 4 vertices with orders in {2, 3}, some compact
+    models with cyclic axes, and the explicit-cube fixtures."""
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            for orders in product((2, 3), repeat=n):
+                yield build_z0(GroupSpec(g, dict(zip(g.vertices, orders))))
+    yield build_zf(example_spec(), 4)
+    yield build_zf(GroupSpec(catalog.path(2), INF), 3)
+    yield build_zf(GroupSpec(catalog.cycle(4), INF), 3)
+    yield build_zf(GroupSpec(SimpleGraph(("a",), []), INF), 5)
+    yield _hollow_corner()
+    yield _filled_corner()
+    yield _noncommuting_square()
+
+
+def test_stats_line_builds_one_link_per_point(monkeypatch):
+    built = []
+
+    def counting_link(X, p):
+        built.append(p)
+        return vertex_link(X, p)
+
+    verdicts = set()
+    for X in _stats_cases():
+        built.clear()
+        monkeypatch.setattr(complexes, "vertex_link", counting_link)
+        line = stats_line(X)
+        monkeypatch.undo()
+        assert built == list(X.vertices())
+        fields = dict(f.split("=") for f in line.split())
+        got = tuple(fields[k] == "yes" for k in ("npc", "special", "surface"))
+        assert got == (is_npc(X)[0], check_special_map(X)[0],
+                       is_closed_surface(X))
+        verdicts.add(got)
+    # every field is seen both ways
+    assert all({v[i] for v in verdicts} == {True, False} for i in range(3))
 
 
 def test_duplicate_label_link_is_not_special():
@@ -158,8 +230,7 @@ def test_missing_edge_link_is_not_full():
 def test_square_on_non_commuting_directions_is_not_special():
     # a and c do not commute in P3, so the square they span has link edges
     # that the model link lacks: the labeling is not simplicial
-    X = CubeComplex(GroupSpec(catalog.path(3), INF),
-                    explicit_cubes=frozenset({((0, 0, 0), frozenset({"a", "c"}))}))
+    X = _noncommuting_square()
     ok, failures = check_special_map(X)
     assert not ok
     assert {kind for kind, _, _ in failures} == {"not simplicial"}
@@ -204,8 +275,33 @@ def test_box_monotone_links():
     spec = GroupSpec(catalog.path(2), INF)
     small = CubeComplex(spec, Box({"a": ("interval", 0, 2), "b": ("interval", 0, 2)}))
     big = CubeComplex(spec, Box({"a": ("interval", 0, 4), "b": ("interval", 0, 4)}))
-    assert big.box.contains(small.box)
+    assert oracles.box_contains(big.box, small.box)
     for p in small.vertices():
         lk_s = vertex_link(small, p)
         lk_b = vertex_link(big, p)
         assert lk_s.simplices <= lk_b.simplices
+
+
+if HAVE_HYPOTHESIS:
+    SIGNED = tuple((d, s) for d in "abcd" for s in (1, -1))
+
+    @st.composite
+    def face_closed_links(draw):
+        """A face-closed complex on at most 7 signed directions: every vertex,
+        sometimes a ring through all of them, and up to six random simplices
+        of two to four vertices."""
+        verts = draw(st.lists(st.sampled_from(SIGNED), unique=True, max_size=7))
+        maximal = [(v,) for v in verts]
+        if len(verts) >= 3 and draw(st.booleans()):
+            maximal += [(verts[i - 1], verts[i]) for i in range(len(verts))]
+        if len(verts) >= 2:
+            maximal += draw(st.lists(st.lists(
+                st.sampled_from(verts), min_size=2, max_size=4, unique=True),
+                max_size=6))
+        return LinkComplex(frozenset(verts), _close_faces(maximal))
+
+    @given(face_closed_links())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_link_predicates_match_oracles(lk):
+        assert _is_flag(lk) == oracles.subset_is_flag(lk)
+        assert _is_cycle(lk) == oracles.edge_scan_is_cycle(lk)
