@@ -156,25 +156,34 @@ def cmd_word(args, out):
     return 0 if ok else 1
 
 
-def _load_complex(args):
-    """The complex file (default stdin), or one built from a graph or spec."""
-    if args.complex_file or not (args.spec or args.name or args.file or args.g6):
-        return complexes.parse_complex(_read_text(args.complex_file or "-"))
+def _build_complex(args, zf):
+    """build_zf with cyclic size -q (default 3) when zf, else build_z0 with
+    --window; the option of the other builder is refused."""
+    if (args.window if zf else args.q) is not None:
+        raise UsageError("%s does not apply to a %s complex" % (
+            ("--window", "build-zf") if zf else ("-q", "build-z0")))
     spec = _load_spec(args)
-    if args.q:
-        return complexes.build_zf(spec, args.q)
+    if zf:
+        return complexes.build_zf(spec, 3 if args.q is None else args.q)
     return complexes.build_z0(spec, args.window)
+
+
+def _load_complex(args):
+    """The complex file (default stdin), or one built from a graph or spec:
+    by build_zf when -q is given, else by build_z0."""
+    if args.complex_file or not (args.spec or args.name or args.file or args.g6):
+        if args.q is not None or args.window is not None:
+            raise UsageError("-q and --window build a complex from a graph "
+                             "or spec, not from a complex file")
+        return complexes.parse_complex(_read_text(args.complex_file or "-"))
+    return _build_complex(args, args.q is not None)
 
 
 def cmd_complex(args, out):
     op = args.op
     if op in ("build-z0", "build-zf"):
-        spec = _load_spec(args)
-        if op == "build-zf":
-            X = complexes.build_zf(spec, args.q or 3)
-        else:
-            X = complexes.build_z0(spec, args.window)
-        out.write(complexes.format_complex(X))
+        out.write(complexes.format_complex(
+            _build_complex(args, op == "build-zf")))
         return 0
     X = _load_complex(args)
     if op == "stats":

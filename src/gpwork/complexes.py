@@ -57,10 +57,6 @@ class Box:
         r = self.by_vertex[v]
         return r[2] - r[1] if r[0] == "interval" else r[1]
 
-    def step(self, v, coord):
-        r = self.by_vertex[v]
-        return coord + 1 if r[0] == "interval" else (coord + 1) % r[1]
-
 
 @dataclass(frozen=True)
 class CubeComplex:
@@ -96,7 +92,7 @@ def _corners(X, base, dset):
         nxt = []
         for p in outs:
             q = list(p)
-            q[idx[d]] = X.box.step(d, q[idx[d]]) if X.box else q[idx[d]] + 1
+            q[idx[d]] += 1
             nxt.append(tuple(q))
         outs = outs + nxt
     return outs
@@ -133,7 +129,7 @@ def cell_counts(X):
         cells = {}
         for base, dset in X.explicit_cubes:
             for k in range(len(dset) + 1):
-                for sub in combinations(sorted(dset, key=str), k):
+                for sub in combinations(dset, k):
                     for face_base in _corners(X, base, dset.difference(sub)):
                         cells.setdefault(k, set()).add((face_base, frozenset(sub)))
         for k, cs in cells.items():
@@ -164,63 +160,59 @@ class LinkComplex:
     simplices: frozenset  # frozensets of verts; includes all faces
 
 
+def _link(simplices):
+    """The link with these simplices, a family closed under faces; its
+    vertices are those of its simplices."""
+    simplices = frozenset(simplices)
+    return LinkComplex(frozenset().union(*simplices), simplices)
+
+
+def _signed_cliques(cliques, room):
+    """The link whose simplices are the signings of the nonempty cliques,
+    each direction v signed by the signed vertices in room[v].  Every face of
+    such a signing is one too, so the family is closed under faces as
+    listed."""
+    return _link(frozenset(s) for c in cliques if c
+                 for s in product(*(room[v] for v in c)))
+
+
 def _close_faces(maximal):
     simps = set()
     for s in maximal:
         s = frozenset(s)
         for k in range(1, len(s) + 1):
-            for sub in combinations(sorted(s, key=str), k):
+            for sub in combinations(s, k):
                 simps.add(frozenset(sub))
     return frozenset(simps)
 
 
 def vertex_link(X, p):
     """Link of the complex at lattice point p: signed-direction simplices of
-    the incident cube corners."""
+    the incident cube corners.  In a box complex these are the signings of
+    the cliques with room at p: a cyclic axis has room both ways, an interval
+    axis upward below its top and downward above its bottom."""
     p = tuple(p)
+    if len(p) != len(X.dirs):
+        raise ValueError("point %r needs %d coordinates" % (p, len(X.dirs)))
     if X.explicit_cubes is None:
-        if any(c not in X.box.points(v) for v, c in zip(X.dirs, p)):
-            raise ValueError("point %r is outside the box" % (p,))
-        maximal = []
-        box = X.box
-        for clique in X.cliques:
-            if not clique:
-                continue
-            for signs in product((1, -1), repeat=len(clique)):
-                ok = True
-                simplex = []
-                for v, s in zip(sorted(clique, key=str), signs):
-                    r = box.by_vertex[v]
-                    c = p[X.dirs.index(v)]
-                    if r[0] == "interval":
-                        if s > 0 and c + 1 > r[2]:
-                            ok = False
-                            break
-                        if s < 0 and c - 1 < r[1]:
-                            ok = False
-                            break
-                    simplex.append((v, s))
-                if ok:
-                    maximal.append(frozenset(simplex))
-        verts = {next(iter(s)) for s in maximal if len(s) == 1}
-        return LinkComplex(frozenset(verts), _close_faces(maximal))
+        room = {}
+        for v, c in zip(X.dirs, p):
+            if c not in X.box.points(v):
+                raise ValueError("point %r is outside the box" % (p,))
+            r = X.box.by_vertex[v]
+            top, bottom = (r[2], r[1]) if r[0] == "interval" else (None, None)
+            room[v] = tuple((v, s) for s, end in ((1, top), (-1, bottom))
+                            if c != end)
+        return _signed_cliques(X.cliques, room)
     # explicit complex: scan cubes containing p as a corner
     idx = {v: i for i, v in enumerate(X.dirs)}
     maximal = []
     for base, dset in X.explicit_cubes:
         for corner in _corners(X, base, dset):
-            if corner != p:
-                continue
-            simplex = []
-            for d in dset:
-                s = 1 if corner[idx[d]] == base[idx[d]] else -1
-                simplex.append((d, s))
-            if simplex:
-                maximal.append(frozenset(simplex))
-    verts = set()
-    for s in maximal:
-        verts |= s
-    return LinkComplex(frozenset(verts), _close_faces(maximal))
+            if corner == p and dset:
+                maximal.append([(d, 1 if p[idx[d]] == base[idx[d]] else -1)
+                                for d in dset])
+    return _link(_close_faces(maximal))
 
 
 def is_npc(X):
@@ -260,13 +252,9 @@ def salvetti_link(graph):
     """Link of the unique vertex of the one-vertex cube complex for the
     right-angled Artin group on `graph`: the flag complex on signed vertices,
     adjacency inherited from the graph, opposite signs of one vertex never
-    adjacent.  Every signing of every clique is a simplex, so the list is
-    closed under faces as built."""
-    simplices = [frozenset(zip(clique, signs))
-                 for clique in graphs.cliques(graph)[1:]
-                 for signs in product((1, -1), repeat=len(clique))]
-    verts = {(v, s) for v in graph.vertices for s in (1, -1)}
-    return LinkComplex(frozenset(verts), frozenset(simplices))
+    adjacent.  Every signing of every clique is a simplex."""
+    return _signed_cliques(graphs.cliques(graph),
+                           {v: ((v, 1), (v, -1)) for v in graph.vertices})
 
 
 def check_special_map(X):

@@ -7,6 +7,7 @@ subset scans whose correctness is obvious, at the price of speed.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from gpwork.complexes import LinkComplex
 from gpwork.graphs import (canonical_bits, canonical_graph, induced_subgraph,
                            read_graph6, write_graph6)
 from gpwork.words import Word
@@ -239,6 +240,37 @@ def direct_cell_count(X):
         for base in product(*axes):
             counts[len(clique)] = counts.get(len(clique), 0) + 1
     return counts
+
+
+def face_closure(maximal):
+    """Every nonempty subset of every given simplex."""
+    return frozenset(frozenset(sub) for s in maximal
+                     for k in range(1, len(s) + 1)
+                     for sub in combinations(sorted(s, key=str), k))
+
+
+def signing_loop_link(X, p):
+    """The vertex link of a box complex at p, by trying every signing of
+    every nonempty clique: a signing is kept when each of its interval
+    directions has a unit step that way inside the box, and the kept
+    simplices are closed under faces."""
+    p = tuple(p)
+    maximal = []
+    for clique in X.cliques:
+        if not clique:
+            continue
+        for signs in product((1, -1), repeat=len(clique)):
+            simplex = []
+            for v, s in zip(sorted(clique, key=str), signs):
+                r = X.box.by_vertex[v]
+                c = p[X.dirs.index(v)]
+                if r[0] == "interval" and not r[1] <= c + s <= r[2]:
+                    break
+                simplex.append((v, s))
+            else:
+                maximal.append(frozenset(simplex))
+    verts = {next(iter(s)) for s in maximal if len(s) == 1}
+    return LinkComplex(frozenset(verts), face_closure(maximal))
 
 
 def subset_is_flag(lk):

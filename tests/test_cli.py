@@ -207,6 +207,26 @@ def test_error_exit_codes(capsys):
              "eq takes two words, got 3")):
         assert run_cli(argv) == (2, "")
         assert capsys.readouterr().err == "error: %s\n" % err
+    # -q 0 is a cyclic size, not a missing -q; an option of the other
+    # builder, or of no builder, is refused rather than dropped
+    for argv, err in (
+            (["complex", "build-zf", "--name", "P2", "--orders", "inf",
+              "-q", "0"], "cyclic size q must be >= 3"),
+            (["complex", "stats", "--name", "C4", "--orders", "inf",
+              "-q", "0"], "cyclic size q must be >= 3"),
+            (["complex", "stats", "--name", "C4", "--orders", "inf",
+              "-q", "1"], "cyclic size q must be >= 3"),
+            (["complex", "build-z0", "--name", "P2", "--orders", "inf",
+              "-q", "3"], "-q does not apply to a build-z0 complex"),
+            (["complex", "build-zf", "--name", "P2", "--orders", "inf",
+              "--window", "2"], "--window does not apply to a build-zf complex"),
+            (["complex", "npc", "--name", "C4", "--orders", "inf", "-q", "3",
+              "--window", "2"], "--window does not apply to a build-zf complex"),
+            (["complex", "stats", fixture("fig2a.spec"), "-q", "3"],
+             "-q and --window build a complex from a graph or spec, not from "
+             "a complex file")):
+        assert run_cli(argv) == (2, ""), argv
+        assert capsys.readouterr().err == "error: %s\n" % err
     for argv in (["frobnicate"], ["word", "mul", "--name", "C5", "v1", "--bogus"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)

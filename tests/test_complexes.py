@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -35,7 +36,6 @@ def test_box_validation():
     b = Box({"a": ("interval", 0, 2), "b": ("cyclic", 4)})
     assert b.n_points("a") == 3 and b.n_edge_slots("a") == 2
     assert b.n_points("b") == 4 and b.n_edge_slots("b") == 4
-    assert b.step("b", 3) == 0 and b.step("a", 1) == 2
 
 
 def test_box_containment():
@@ -115,8 +115,9 @@ def test_vertex_link_interior_and_corner():
     # the square complex is a full 3x3 grid of squares: links are complete
     # bipartite between the signs, giving four squares at the interior vertex
     assert sum(1 for s in interior.simplices if len(s) == 2) == 4
-    with pytest.raises(ValueError):
-        vertex_link(X, (9, 9))
+    for p in ((9, 9), (1,), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            vertex_link(X, p)
 
 
 def test_salvetti_link_counts():
@@ -125,6 +126,17 @@ def test_salvetti_link_counts():
     assert sum(1 for s in lk.simplices if len(s) == 2) == 4
     lk3 = salvetti_link(catalog.cycle(3))
     assert len([s for s in lk3.simplices if len(s) == 3]) == 8
+
+
+def test_salvetti_link_is_face_closure_of_all_signings():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            signings = [frozenset(zip(c, signs))
+                        for c in oracles.subset_cliques(g) if c
+                        for signs in product((1, -1), repeat=len(c))]
+            verts = {(v, s) for v in g.vertices for s in (1, -1)}
+            assert salvetti_link(g) == LinkComplex(
+                frozenset(verts), oracles.face_closure(signings))
 
 
 def _triangle_spec():
@@ -157,6 +169,46 @@ def test_hollow_corner_is_not_npc():
     assert not ok and offender == (0, 0, 0)
     # filling in the 3-cube restores the flag condition
     assert is_npc(_filled_corner()) == (True, None)
+
+
+def test_explicit_fixture_verdicts():
+    assert [stats_line(X) for X in (_hollow_corner(), _filled_corner(),
+                                    _noncommuting_square())] == [
+        "V=7 E=9 F=3 C3=0 chi=1 npc=no special=no surface=no",
+        "V=8 E=12 F=6 C3=1 chi=1 npc=yes special=yes surface=no",
+        "V=4 E=4 F=1 C3=0 chi=1 npc=yes special=no surface=no"]
+
+
+def _as_explicit(X):
+    """The box complex X as a hand-built one: every cube of a nonempty
+    clique at every base point from which it fits, listed in explicit_cubes."""
+    cubes = set()
+    for clique in X.cliques[1:]:
+        axes = [[c for c in X.box.points(v)
+                 if v not in clique or c < X.box.by_vertex[v][2]]
+                for v in X.dirs]
+        cubes.update((base, clique) for base in product(*axes))
+    return CubeComplex(X.spec, explicit_cubes=frozenset(cubes))
+
+
+def test_box_and_explicit_cubes_agree():
+    # three random interval boxes on every graph with at most 5 vertices:
+    # each axis two points wide, and one of them three
+    rng = random.Random(9)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for _ in range(3):
+                wide = rng.choice(g.vertices)
+                ranges = {}
+                for v in g.vertices:
+                    lo = rng.randint(-1, 1)
+                    ranges[v] = ("interval", lo, lo + 1 + (v == wide))
+                X = CubeComplex(GroupSpec(g, INF), Box(ranges))
+                Y = _as_explicit(X)
+                assert Y.vertices() == X.vertices()
+                assert cell_counts(Y) == cell_counts(X)
+                for p in X.vertices():
+                    assert vertex_link(Y, p) == vertex_link(X, p)
 
 
 def test_link_predicates_match_oracles_on_corners():
@@ -299,6 +351,35 @@ if HAVE_HYPOTHESIS:
                 st.sampled_from(verts), min_size=2, max_size=4, unique=True),
                 max_size=6))
         return LinkComplex(frozenset(verts), _close_faces(maximal))
+
+    @st.composite
+    def box_points(draw):
+        """A box complex on a random graph with at most 6 vertices, whose
+        axes mix intervals (single points included) with cyclic ranges, and
+        up to four of its points, each interval coordinate often at an end."""
+        verts = tuple("v%d" % i for i in range(draw(st.integers(1, 6))))
+        edges = [e for e in combinations(verts, 2) if draw(st.booleans())]
+        ranges, coords = {}, []
+        for v in verts:
+            if draw(st.booleans()):
+                lo = draw(st.integers(-2, 2))
+                hi = lo + draw(st.integers(0, 3))
+                ranges[v] = ("interval", lo, hi)
+                coords.append(st.one_of(st.sampled_from((lo, hi)),
+                                        st.integers(lo, hi)))
+            else:
+                q = draw(st.integers(3, 5))
+                ranges[v] = ("cyclic", q)
+                coords.append(st.integers(0, q - 1))
+        X = CubeComplex(GroupSpec(SimpleGraph(verts, edges), INF), Box(ranges))
+        return X, draw(st.lists(st.tuples(*coords), min_size=1, max_size=4))
+
+    @given(box_points())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_vertex_link_matches_signing_loop(case):
+        X, points = case
+        for p in points:
+            assert vertex_link(X, p) == oracles.signing_loop_link(X, p)
 
     @given(face_closed_links())
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
