@@ -73,13 +73,22 @@ class CubeComplex:
         """All cliques of the defining graph, the empty one included."""
         return graphs.cliques(self.spec.graph)
 
+    @cached_property
+    def _corner_signings(self):
+        """Explicit complexes: per vertex, the signed directions of each cube
+        with a corner there, +1 where the corner is the cube's base."""
+        idx = {v: i for i, v in enumerate(self.dirs)}
+        out = {}
+        for base, dset in self.explicit_cubes:
+            for corner in _corners(self, base, dset):
+                out.setdefault(corner, []).append(
+                    [(d, 1 if corner[idx[d]] == base[idx[d]] else -1)
+                     for d in dset])
+        return out
+
     def vertices(self):
         if self.explicit_cubes is not None:
-            seen = set()
-            for base, dset in self.explicit_cubes:
-                for corner in _corners(self, base, dset):
-                    seen.add(corner)
-            return sorted(seen)
+            return sorted(self._corner_signings)
         return [tuple(pt) for pt in product(*(self.box.points(v) for v in self.dirs))]
 
 
@@ -190,7 +199,10 @@ def vertex_link(X, p):
     """Link of the complex at lattice point p: signed-direction simplices of
     the incident cube corners.  In a box complex these are the signings of
     the cliques with room at p: a cyclic axis has room both ways, an interval
-    axis upward below its top and downward above its bottom."""
+    axis upward below its top and downward above its bottom.  In an explicit
+    complex they are the faces of the signings of the cubes with a corner at
+    p, indexed once per complex.  A point that is not a vertex raises
+    ValueError."""
     p = tuple(p)
     if len(p) != len(X.dirs):
         raise ValueError("point %r needs %d coordinates" % (p, len(X.dirs)))
@@ -204,15 +216,9 @@ def vertex_link(X, p):
             room[v] = tuple((v, s) for s, end in ((1, top), (-1, bottom))
                             if c != end)
         return _signed_cliques(X.cliques, room)
-    # explicit complex: scan cubes containing p as a corner
-    idx = {v: i for i, v in enumerate(X.dirs)}
-    maximal = []
-    for base, dset in X.explicit_cubes:
-        for corner in _corners(X, base, dset):
-            if corner == p and dset:
-                maximal.append([(d, 1 if p[idx[d]] == base[idx[d]] else -1)
-                                for d in dset])
-    return _link(_close_faces(maximal))
+    if p not in X._corner_signings:
+        raise ValueError("point %r is not a vertex of the complex" % (p,))
+    return _link(_close_faces(X._corner_signings[p]))
 
 
 def is_npc(X):

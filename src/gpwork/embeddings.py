@@ -10,11 +10,13 @@ sample gives a finite certificate on a ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (co_contract, double_along_link, lines_by_vertex,
                      opposite, read_lines)
-from .words import (GroupSpec, INF, Word, _normal_form, enumerate_elements,
-                    invert, multiply, normalize, parse_word, format_word)
+from .words import (GroupSpec, INF, _ball, _normal_form, _pile, _readout,
+                    _word, normalize, parse_word, format_word)
+from .words import multiply  # noqa: F401  bound here for perfbench's tracer test
 
 
 @dataclass(frozen=True)
@@ -34,17 +36,27 @@ class HomomorphismSpec:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", tuple(items))
 
+    @cached_property
+    def _syllable_images(self):
+        """Per source vertex, the target syllables of its image and of the
+        image's inverse."""
+        return {v: (w.syllables, tuple((u, -f) for u, f in reversed(w.syllables)))
+                for v, w in self.images}
+
+    def _image_syllables(self, syllables):
+        """The target syllables of the images of source syllables whose
+        exponents are reduced, concatenated."""
+        table = self._syllable_images
+        out = []
+        for v, e in syllables:
+            img, inv = table[v]
+            out.extend(img * e if e > 0 else inv * -e)
+        return out
+
     def apply(self, w):
         """Image of a source word, in target normal form: the images of its
         syllables are concatenated and normalized once."""
-        imap = dict(self.images)
-        syls = []
-        for v, e in w.syllables:
-            g = imap[v].syllables
-            if e < 0:
-                g = tuple((u, -f) for u, f in reversed(g))
-            syls.extend(g * abs(e))
-        return _normal_form(self.target, syls)
+        return _normal_form(self.target, self._image_syllables(w.syllables))
 
 
 def double_homomorphism(g, t, orders, mirror=False):
@@ -58,14 +70,8 @@ def double_homomorphism(g, t, orders, mirror=False):
     tgt = GroupSpec(g, orders)
     dbl, rho = double_along_link(g, t)
     src = GroupSpec(dbl, {u: tgt.order[rho[u]] for u in dbl.vertices})
-    conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
-    images = []
-    for u in dbl.vertices:
-        base = Word(tgt, ((rho[u], 1),))
-        if u == rho[u]:
-            images.append((u, base))
-        else:
-            images.append((u, multiply(multiply(conj, base), invert(conj))))
+    images = [(u, _word(tgt, ((u, 1),)) if u == rho[u]
+               else _conjugate(tgt, t, rho[u], mirror)) for u in dbl.vertices]
     return HomomorphismSpec(src, tgt, images)
 
 
@@ -85,50 +91,66 @@ def co_contraction_embedding(g, e, orders, mirror=False):
     y = "%s*%s" % (x, t)
     src = GroupSpec(src_graph, {v: tgt.order[x if v == y else v]
                                 for v in src_graph.vertices})
-    conj = Word(tgt, ((t, 1),)) if not mirror else Word(tgt, ((t, -1),))
-    images = []
-    for v in src_graph.vertices:
-        if v == y:
-            xw = Word(tgt, ((x, 1),))
-            images.append((v, multiply(multiply(conj, xw), invert(conj))))
-        else:
-            images.append((v, Word(tgt, ((v, 1),))))
+    images = [(v, _conjugate(tgt, t, x, mirror) if v == y
+               else _word(tgt, ((v, 1),))) for v in src_graph.vertices]
     return HomomorphismSpec(src, tgt, images)
+
+
+def _conjugate(tgt, t, x, mirror):
+    """t x t^-1, or t^-1 x t with mirror, in normal form."""
+    s = -1 if mirror else 1
+    return _normal_form(tgt, ((t, s), (x, 1), (t, -s)))
 
 
 def relator_check(h):
     """Verify every source relator maps to the identity.
 
     Relators: v^m for each finite-order source vertex, and the commutator
-    [u, w] for each source edge.  Returns (ok, failures) where each failure
-    is (description, image normal form).
+    [u, w] for each source edge, with its inverse syllables reduced as a
+    Word reduces them.  A relator passes when piling its image leaves no
+    syllable; only failures are read out.  Returns (ok, failures) where each
+    failure is (description, image normal form).
     """
-    src = h.source
+    src, tgt = h.source, h.target
+    relators = [("%s^%d" % (v, m), ((v, 1),) * m)
+                for v, m in src.orders if m is not INF]
+    relators += [("[%s,%s]" % (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
+                                       (w, src.reduce_exp(w, -1))))
+                 for u, w in src.graph.sorted_edges()]
     failures = []
-    for v, m in src.orders:
-        if m is INF:
-            continue
-        img = h.apply(Word(src, ((v, 1),) * m))
-        if len(img):
-            failures.append(("%s^%d" % (v, m), format_word(img)))
-    for u, w in src.graph.sorted_edges():
-        comm = Word(src, ((u, 1), (w, 1), (u, -1), (w, -1)))
-        img = h.apply(comm)
-        if len(img):
-            failures.append(("[%s,%s]" % (u, w), format_word(img)))
+    for text, rel in relators:
+        piles, count = _pile(tgt, h._image_syllables(rel))
+        if count:
+            failures.append((text, format_word(_readout(tgt, piles, count))))
     return (not failures), failures
 
 
 def injectivity_sample(h, max_len, exp_bound=1, cap=200000):
-    """Check that distinct source elements of canonical length <= max_len
-    have distinct images.  Returns (ok, collision or None)."""
-    ball = enumerate_elements(h.source, max_len, exp_bound, cap=cap)
+    """Check that distinct source elements of length <= max_len (as in
+    `words.enumerate_elements`) have distinct images.  Returns (ok,
+    collision or None); the collision is the first element, in syllable
+    count then ShortLex order, whose image is that of an earlier one, with
+    that earlier one.
+
+    The ball is walked depth first: each element's image is its parent's
+    target piles, copied, with the image of the appended syllable pushed on,
+    and an image is keyed by its pile contents, which determine it.
+    """
+    tgt = h.target
+    levels = [[] for _ in range(max_len + 1)]
+    path = [[[] for _ in tgt.graph.vertices]]
+    for syls in _ball(h.source, max_len, exp_bound, cap):
+        d = len(syls)
+        if d:
+            path[d:] = [[p[:] for p in path[d - 1]]]
+            _pile(tgt, h._image_syllables(syls[-1:]), path[d])
+        levels[d].append((tuple(map(tuple, path[d])), syls))
     seen = {}
-    for w in ball:
-        img = h.apply(w).syllables
-        if img in seen:
-            return False, (seen[img], w)
-        seen[img] = w
+    for level in levels:
+        for key, syls in level:
+            if key in seen:
+                return False, (_word(h.source, seen[key]), _word(h.source, syls))
+            seen[key] = syls
     return True, None
 
 

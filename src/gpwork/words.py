@@ -14,14 +14,18 @@ pile merges with it, and a merge to zero pops that syllable and its markers:
 everything pushed after it commutes with it, so nothing else moves.  The
 piles then hold the reduced word as a heap, read out from the bottom by
 taking, at each step, the least vertex whose next entry is a syllable.  For
-n syllables over the vertex set V this costs O(n |V|).
+n syllables over the vertex set V this costs O(n |V|).  Exponents are
+reduced as they are pushed, so the kernel's words skip Word's checks.
+
+`enumerate_elements` writes the ball out directly as the normal forms whose
+letter cost fits: length is additive over their syllables (Green 1990;
+Hermiller-Meier 1995).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from . import graphs
 
@@ -109,25 +113,30 @@ def identity(spec):
     return Word(spec, (), canonical=True)
 
 
-def _syl_key(spec, syl):
-    v, e = syl
-    return (spec.graph.index[v], e < 0, abs(e))
+def _word(spec, syllables):
+    """The canonical Word of kernel-made syllables, whose exponents are
+    already reduced and nonzero, without Word's per-syllable checks."""
+    w = object.__new__(Word)
+    w.__dict__.update(spec=spec, syllables=syllables, canonical=True)
+    return w
 
 
-def _normal_form(spec, syllables):
-    """The canonical word of a sequence of nonzero syllables whose exponents
-    need not be reduced; piling and readout as in the module docstring."""
-    verts = spec.graph.vertices
+def _pile(spec, syllables, piles=None):
+    """Push syllables whose exponents are nonzero modulo the vertex order,
+    but not necessarily reduced, onto the piles (empty ones by default) as
+    in the module docstring, reducing each exponent as it goes on.  Returns
+    the piles and the change in the number of syllables they hold."""
     index = spec.graph.index
     order = spec.order
     noncomm = spec.noncommuting
-    piles = [[] for _ in verts]
+    if piles is None:
+        piles = [[] for _ in noncomm]
     count = 0
     for v, e in syllables:
         i = index[v]
         pile = piles[i]
+        m = order[v]
         if pile and pile[-1] is not None:
-            m = order[v]
             e = (e + pile[-1]) % m if m else e + pile[-1]
             if e:
                 pile[-1] = e
@@ -137,10 +146,17 @@ def _normal_form(spec, syllables):
                     piles[j].pop()
                 count -= 1
         else:
-            pile.append(e)
+            pile.append(e % m if m else e)
             for j in noncomm[i]:
                 piles[j].append(None)
             count += 1
+    return piles, count
+
+
+def _readout(spec, piles, count):
+    """The canonical word of the `count` syllables on the piles."""
+    verts = spec.graph.vertices
+    noncomm = spec.noncommuting
     pos = [0] * len(verts)
     out = []
     for _ in range(count):
@@ -151,7 +167,12 @@ def _normal_form(spec, syllables):
         pos[i] += 1
         for j in noncomm[i]:
             pos[j] += 1
-    return Word(spec, out, canonical=True)
+    return _word(spec, tuple(out))
+
+
+def _normal_form(spec, syllables):
+    """The canonical word of syllables as `_pile` takes them."""
+    return _readout(spec, *_pile(spec, syllables))
 
 
 def normalize(w):
@@ -231,49 +252,69 @@ def cyclically_reduce(w):
         conj = multiply(conj, s)
 
 
-def generator_syllables(spec, exp_bound=1):
-    """All single syllables with bounded exponents; the enumeration alphabet.
+def _ball(spec, max_len, exp_bound, cap):
+    """The normal forms of length <= max_len as syllable tuples, in
+    depth-first preorder with children in key order, so that each syllable
+    count comes out in ShortLex order.  Raises once more than cap are found.
 
-    Finite-order vertices contribute every nonzero exponent; infinite-order
-    vertices contribute exponents in [-exp_bound, exp_bound] minus zero.
-    """
-    out = []
-    for v, m in spec.orders:
-        if m is INF:
-            exps = [e for e in range(-exp_bound, exp_bound + 1) if e != 0]
-        else:
-            exps = list(range(1, m))
-        out.extend((v, e) for e in exps)
-    return out
-
-
-def enumerate_elements(spec, max_len, exp_bound=1, cap=None):
-    """Distinct group elements with canonical length <= max_len, each once.
-
-    For infinite-order vertices only syllable exponents within exp_bound are
-    reached.  Yields canonical words, sorted by length then ShortLex.  With a
-    cap, enumeration aborts as soon as more elements than the cap are found.
+    Length counts letters: syllables v^e with e nonzero, and |e| <=
+    exp_bound on an infinite-order vertex.  It is additive over the
+    syllables of a normal form: a syllable costs 1 on a finite-order vertex
+    and ceil(|e| / exp_bound) on an infinite-order one.  A normal form takes
+    a syllable on vertex u when walking left through the syllables that
+    commute with u meets neither u nor a vertex after u before it meets one
+    that does not commute with u.  As a mask: after a syllable on v, the
+    vertices not commuting with v, and those after v that commute with v
+    and were allowed before it.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    gens = generator_syllables(spec, exp_bound)
-    seen = {(): identity(spec)}
-    frontier = [identity(spec)]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for v, e in gens:
-                prod = multiply(w, Word(spec, ((v, e),)))
-                if prod.syllables not in seen:
-                    seen[prod.syllables] = prod
-                    nxt.append(prod)
-                    if cap is not None and len(seen) > cap:
-                        raise ValueError("ball exceeds the cap of %d elements"
-                                         % (cap,))
-        frontier = [w for w in nxt if len(w) <= max_len]
-    words = [w for w in seen.values() if len(w) <= max_len]
-    words.sort(key=lambda w: (len(w), [_syl_key(spec, s) for s in w.syllables]))
-    return words
+    if exp_bound < 1:
+        raise ValueError("exp_bound must be >= 1")
+    masks = spec.graph.masks
+    full = (1 << len(masks)) - 1
+    # per vertex: its bit, the two mask terms above, and per remaining
+    # budget the syllables that fit, each as (1-tuple, cost), in key order
+    steps = []
+    for i, (v, m) in enumerate(spec.orders):
+        if m is INF:
+            by_budget = [[(((v, s * k),), -(-k // exp_bound))
+                          for s in (1, -1) for k in range(1, r * exp_bound + 1)]
+                         for r in range(max_len + 1)]
+        else:
+            by_budget = [[(((v, e),), 1) for e in range(1, m)]] * (max_len + 1)
+        steps.append((1 << i, full ^ masks[i] ^ 1 << i,
+                      masks[i] & -(2 << i), by_budget))
+    stack = [((), full, max_len)]
+    found = 0
+    while stack:
+        syls, allowed, budget = stack.pop()
+        found += 1
+        if cap is not None and found > cap:
+            raise ValueError("ball exceeds the cap of %d elements" % (cap,))
+        yield syls
+        if budget:
+            kids = []
+            for bit, noncomm, later, by_budget in steps:
+                if allowed & bit:
+                    nxt = noncomm | later & allowed
+                    kids += [(syls + syl, nxt, budget - cost)
+                             for syl, cost in by_budget[budget]]
+            stack += reversed(kids)
+
+
+def enumerate_elements(spec, max_len, exp_bound=1, cap=None):
+    """Distinct group elements of length <= max_len, each once, as canonical
+    words sorted by syllable count then ShortLex.
+
+    Length counts letters v^e with |e| <= exp_bound on infinite-order
+    vertices and any nonzero e on finite-order ones.  With a cap, a ball of
+    more than cap elements raises ValueError as soon as it is found.
+    """
+    levels = [[] for _ in range(max_len + 1)]
+    for syls in _ball(spec, max_len, exp_bound, cap):
+        levels[len(syls)].append(_word(spec, syls))
+    return [w for level in levels for w in level]
 
 
 # -- text formats ----------------------------------------------------------

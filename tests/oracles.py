@@ -8,9 +8,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from gpwork.complexes import LinkComplex
-from gpwork.graphs import (canonical_bits, canonical_graph, induced_subgraph,
-                           read_graph6, write_graph6)
-from gpwork.words import Word
+from gpwork.graphs import (SimpleGraph, canonical_bits, canonical_graph,
+                           induced_subgraph, read_graph6, write_graph6)
+from gpwork.words import INF, GroupSpec, Word, identity, multiply
 
 
 def shuffle_closure_normal_form(spec, syllables):
@@ -70,6 +70,61 @@ def normal_form_error(spec, syllables):
                 break
             if keys[k] > keys[j]:
                 return "syllable %d can move left past %d" % (j, k)
+    return None
+
+
+def generator_syllables(spec, exp_bound=1):
+    """All single syllables with bounded exponents; the enumeration alphabet.
+
+    Finite-order vertices contribute every nonzero exponent; infinite-order
+    vertices contribute exponents in [-exp_bound, exp_bound] minus zero.
+    """
+    out = []
+    for v, m in spec.orders:
+        if m is INF:
+            exps = [e for e in range(-exp_bound, exp_bound + 1) if e != 0]
+        else:
+            exps = list(range(1, m))
+        out.extend((v, e) for e in exps)
+    return out
+
+
+def bfs_ball(spec, max_len, exp_bound=1, cap=None):
+    """The ball of enumerate_elements by breadth-first search: max_len
+    rounds of multiplying each new element by every generator syllable,
+    duplicates dropped through a dict, then a sort by syllable count and
+    ShortLex.  Raises as soon as more than cap elements are found."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    gens = generator_syllables(spec, exp_bound)
+    seen = {(): identity(spec)}
+    frontier = [identity(spec)]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for v, e in gens:
+                prod = multiply(w, Word(spec, ((v, e),)))
+                if prod.syllables not in seen:
+                    seen[prod.syllables] = prod
+                    nxt.append(prod)
+                    if cap is not None and len(seen) > cap:
+                        raise ValueError("ball exceeds the cap of %d elements"
+                                         % (cap,))
+        frontier = nxt
+    index = spec.graph.index
+    return sorted(seen.values(), key=lambda w: (
+        len(w), [(index[v], e < 0, abs(e)) for v, e in w.syllables]))
+
+
+def first_collision(h, ball):
+    """The first element of the ball whose image under h, by h.apply, is the
+    image of an earlier one, with that earlier one; None if there is none."""
+    seen = {}
+    for w in ball:
+        img = h.apply(w).syllables
+        if img in seen:
+            return seen[img], w
+        seen[img] = w
     return None
 
 
@@ -336,7 +391,6 @@ def box_contains(box, box2):
 
 def random_syllables(spec, rng, n, exp_window=3):
     """n random syllables over the spec, exponents not reduced to zero."""
-    from gpwork.words import INF
     verts = spec.graph.vertices
     syls = []
     for _ in range(n):
@@ -354,3 +408,15 @@ def random_word(spec, rng, max_len, exp_window=3):
     """A random raw (unreduced) word over the spec."""
     return Word(spec, random_syllables(spec, rng, rng.randrange(max_len + 1),
                                        exp_window))
+
+
+def random_spec(rng, max_vertices, orders=(2, 3, INF)):
+    """A spec on 1 to max_vertices vertices, stored in a random order, with
+    each edge present with probability 1/2 and each order drawn from
+    `orders`."""
+    verts = ["v%d" % i for i in range(rng.randint(1, max_vertices))]
+    rng.shuffle(verts)
+    edges = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]
+             if rng.random() < 0.5]
+    return GroupSpec(SimpleGraph(verts, edges),
+                     {v: rng.choice(orders) for v in verts})

@@ -19,8 +19,8 @@ from gpwork.graphs import (SimpleGraph, are_isomorphic, double_along_link,
                            enumerate_graphs, induced_subgraph, is_weakly_chordal,
                            opposite)
 from gpwork.words import (GroupSpec, INF, Word, enumerate_elements,
-                          generator_syllables, in_kernel_kp0, in_kernel_kpf,
-                          multiply, normalize, project)
+                          in_kernel_kp0, in_kernel_kpf, multiply, normalize,
+                          project)
 
 import oracles
 
@@ -31,7 +31,7 @@ def example_spec():
 
 
 def all_raw_words(spec, max_len, exp_window):
-    gens = generator_syllables(spec, exp_window)
+    gens = oracles.generator_syllables(spec, exp_window)
     for n in range(max_len + 1):
         yield from product(gens, repeat=n)
 

@@ -120,6 +120,13 @@ def test_vertex_link_interior_and_corner():
             vertex_link(X, p)
 
 
+def test_explicit_vertex_link_refuses_a_point_that_is_not_a_vertex():
+    X = _hollow_corner()
+    for p in ((5, 5, 5), (1, 1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            vertex_link(X, p)
+
+
 def test_salvetti_link_counts():
     lk = salvetti_link(catalog.path(2))
     assert len(lk.verts) == 4

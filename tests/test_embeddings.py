@@ -8,10 +8,16 @@ from gpwork.embeddings import (HomomorphismSpec, co_contraction_embedding,
                                injectivity_sample, parse_homomorphism,
                                relator_check)
 from gpwork.graphs import SimpleGraph, enumerate_graphs, opposite
-from gpwork.words import (GroupSpec, INF, Word, equal, identity, invert,
-                          multiply)
+from gpwork.words import (GroupSpec, INF, Word, enumerate_elements, equal,
+                          identity, invert, multiply)
 
 import oracles
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 
 def test_double_homomorphism_basics():
@@ -152,6 +158,30 @@ def test_relator_check_catches_broken_torsion():
     assert not ok and failures[0][0] == "x^3"
 
 
+def test_relator_check_reduces_source_exponents_before_imaging():
+    # v1 has order 3, so the commutator's v1^-1 is v1^2, imaged as y^2 under
+    # this map, which is not a homomorphism
+    src = GroupSpec(SimpleGraph(("v1", "v2"), [("v1", "v2")]),
+                    {"v1": 3, "v2": INF})
+    tgt = GroupSpec(SimpleGraph(("y", "z"), []), INF)
+    h = HomomorphismSpec(src, tgt, [("v1", Word(tgt, (("y", 1),))),
+                                    ("v2", Word(tgt, (("z", 1),)))])
+    assert relator_check(h) == (False, [("v1^3", "y^3"),
+                                        ("[v1,v2]", "y z y^2 z^-1")])
+
+
+def test_injectivity_on_c6_co_contraction_inf_at_5():
+    h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), INF)
+    assert len(enumerate_elements(h.source, 5)) == 39563
+    assert injectivity_sample(h, 5) == (True, None)
+
+
+def test_injectivity_refuses_exp_bound_below_one():
+    h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), INF)
+    with pytest.raises(ValueError, match="exp_bound"):
+        injectivity_sample(h, 2, exp_bound=0)
+
+
 def test_injectivity_cap():
     g = opposite(catalog.cycle(6))
     h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), INF)
@@ -186,3 +216,26 @@ def test_apply_is_multiplicative_on_random_words():
         lhs = h.apply(multiply(u, v))
         rhs = multiply(h.apply(u), h.apply(v))
         assert equal(lhs, rhs)
+
+
+if HAVE_HYPOTHESIS:
+    @given(st.randoms(use_true_random=False), st.integers(1, 2),
+           st.integers(0, 3))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_injectivity_matches_apply_oracle(rng, exp_bound, max_len):
+        # random images of up to 3 syllables: most maps are not injective
+        src, tgt = oracles.random_spec(rng, 4), oracles.random_spec(rng, 3)
+        h = HomomorphismSpec(src, tgt, [(v, oracles.random_word(tgt, rng, 3))
+                                        for v in src.graph.vertices])
+        try:
+            ball = enumerate_elements(src, max_len, exp_bound, cap=2000)
+        except ValueError:
+            with pytest.raises(ValueError, match="cap"):
+                injectivity_sample(h, max_len, exp_bound, cap=2000)
+            return
+        ok, coll = injectivity_sample(h, max_len, exp_bound, cap=2000)
+        expect = oracles.first_collision(h, ball)
+        assert ok == (expect is None)
+        if expect is not None:
+            assert ([w.syllables for w in coll]
+                    == [w.syllables for w in expect])

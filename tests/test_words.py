@@ -6,9 +6,9 @@ import pytest
 from gpwork import catalog
 from gpwork.graphs import SimpleGraph, opposite
 from gpwork.words import (GroupSpec, INF, Word, cyclically_reduce, enumerate_elements,
-                          equal, format_spec, format_word, generator_syllables,
-                          identity, in_kernel_kp0, in_kernel_kpf, invert,
-                          multiply, normalize, parse_spec, parse_word, project)
+                          equal, format_spec, format_word, identity,
+                          in_kernel_kp0, in_kernel_kpf, invert, multiply,
+                          normalize, parse_spec, parse_word, project)
 
 import oracles
 
@@ -70,7 +70,7 @@ def test_normalize_idempotent_and_length_minimal():
 
 
 def all_words(spec, max_len, exp_window=1):
-    gens = generator_syllables(spec, exp_window)
+    gens = oracles.generator_syllables(spec, exp_window)
     for n in range(max_len + 1):
         for combo in product(gens, repeat=n):
             yield combo
@@ -198,6 +198,22 @@ def test_enumerate_elements_sorted_and_distinct():
     assert [len(w) for w in ball] == sorted(len(w) for w in ball)
 
 
+def test_enumerate_elements_refuses_exp_bound_below_one():
+    for b in (0, -1):
+        with pytest.raises(ValueError, match="exp_bound"):
+            enumerate_elements(example_spec(), 2, exp_bound=b)
+
+
+def test_enumerate_elements_cap_at_ball_size():
+    for spec, max_len, b in ((example_spec(), 3, 2),
+                             (GroupSpec(catalog.cycle(5), 2), 4, 1)):
+        n = len(oracles.bfs_ball(spec, max_len, b))
+        for ball in (enumerate_elements, oracles.bfs_ball):
+            assert len(ball(spec, max_len, b, cap=n)) == n
+            with pytest.raises(ValueError, match="cap of %d " % (n - 1)):
+                ball(spec, max_len, b, cap=n - 1)
+
+
 def test_parse_format_roundtrip():
     spec = example_spec()
     for text in ("1", "a", "b^-1", "a b^2 c^3", "c^3 a"):
@@ -255,3 +271,19 @@ if HAVE_HYPOTHESIS:
             if u != v and v in adj[u]:
                 shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
         assert normalize(Word(spec, shuffled)).syllables == base
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 3),
+           st.integers(0, 4))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_enumerate_elements_matches_bfs_oracle(rng, exp_bound, max_len):
+        # the same words in the same order, or the same cap error
+        spec = oracles.random_spec(rng, 6)
+
+        def run(ball):
+            try:
+                return [w.syllables for w in ball(spec, max_len, exp_bound,
+                                                  cap=400)]
+            except ValueError as e:
+                return str(e)
+
+        assert run(enumerate_elements) == run(oracles.bfs_ball)
