@@ -242,16 +242,9 @@ def _is_flag(lk):
 
 
 def _is_cycle(lk):
-    """The link's 1-skeleton is one cycle: every vertex has degree 2, and the
-    walk from vertex 0 comes back to it after visiting them all."""
+    """The link's 1-skeleton is one cycle through all its vertices."""
     masks = _skeleton(lk).masks
-    if not masks or any(m.bit_count() != 2 for m in masks):
-        return False
-    prev, cur, steps = 0, masks[0].bit_length() - 1, 1
-    while cur:
-        prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
-        steps += 1
-    return steps == len(masks)
+    return graphs._cycle(masks, (1 << len(masks)) - 1) is not None
 
 
 def salvetti_link(graph):

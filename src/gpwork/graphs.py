@@ -8,12 +8,10 @@ The search routines (holes, cliques, induced patterns, isomorphism, canonical
 forms, enumeration) run on `SimpleGraph.masks`, one adjacency bitmask per
 vertex.  Vertices are colored by iterated neighbor-degree refinement
 (`_refine`).
-The canonical form is the least graph6-order bit string (upper triangle,
-column by column) over all relabelings that list the color classes in color
-order, each class in any order.  `canonical_bits` finds it by filling
-positions left to right, keeping only the prefixes whose newest column ties
-the least one, and branching on one vertex per twin class.  Isomorphism maps
-and automorphism groups come from one backtracking search (`_bijections`).
+The canonical form (`canonical_bits`) is the least graph6-order bit string
+(`_bits`) over the relabelings that list the color classes in color order.
+Isomorphism maps and automorphism groups come from one backtracking search
+(`_bijections`).
 """
 
 from __future__ import annotations
@@ -185,30 +183,43 @@ def cliques(g):
     return out
 
 
+def _cycle(masks, s):
+    """The vertices of mask s in walk order, from the least vertex toward its
+    lesser neighbor, when they induce one cycle; else None.  The walk stops at
+    a vertex without two neighbors in s, so it can only come back to the
+    start, and s is one cycle when the walk visited all of it."""
+    if not s:
+        return None
+    start = cur = (s & -s).bit_length() - 1
+    # pretend the walk came from the greater neighbor: it leaves by the lesser
+    prev = (masks[start] & s).bit_length() - 1
+    cyc = []
+    while True:
+        nbrs = masks[cur] & s
+        if nbrs.bit_count() != 2:
+            return None
+        cyc.append(cur)
+        prev, cur = cur, (nbrs ^ 1 << prev).bit_length() - 1
+        if cur == start:
+            return cyc if len(cyc) == s.bit_count() else None
+
+
 def find_hole(g, min_len=5):
     """Shortest induced cycle of length >= min_len, lexicographically least.
 
     Returns the cycle as an ordered vertex tuple, or None: the first subset in
-    lexicographic vertex order whose vertices all have two neighbors inside
-    it and which is one cycle, walked from its least vertex toward that
-    vertex's lesser neighbor.  Exhaustive over vertex subsets; fine for the
-    at-most-a-dozen-vertex graphs handled here.
+    lexicographic vertex order that is one cycle, walked by `_cycle`.
+    Exhaustive over vertex subsets; fine for the at-most-a-dozen-vertex
+    graphs handled here.
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
     masks = g.masks
     cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
     for length in range(min_len, len(cands) + 1):
-        for subset, s in _subsets(cands, length):
-            if any((masks[v] & s).bit_count() != 2 for v in subset):
-                continue
-            start = prev = subset[0]
-            cyc = [start]
-            cur = _members(masks[start] & s)[0]
-            while cur != start:
-                cyc.append(cur)
-                prev, cur = cur, (masks[cur] & s & ~(1 << prev)).bit_length() - 1
-            if len(cyc) == length:  # else a union of shorter cycles
+        for _, s in _subsets(cands, length):
+            cyc = _cycle(masks, s)
+            if cyc is not None:
                 return tuple(g.vertices[v] for v in cyc)
     return None
 
@@ -361,9 +372,14 @@ def _canonical(masks):
                 if col == best:
                     keep.append((prefix + (v,), used | 1 << v))
         level = keep
-    order = level[0][0]
-    return (n, tuple(masks[v] >> u & 1
-                     for j, v in enumerate(order) for u in order[:j]))
+    return (n, _bits(masks, level[0][0]))
+
+
+def _bits(masks, order):
+    """The graph6 bits of the graph relabeled so that position j holds vertex
+    order[j]: the upper triangle of its adjacency matrix, column by column."""
+    return tuple(masks[v] >> u & 1 for j, v in enumerate(order)
+                 for u in order[:j])
 
 
 def canonical_bits(g):
@@ -386,11 +402,6 @@ def _from_bits(n, bits):
     labels = ["v%d" % (i + 1) for i in range(n)]
     pairs = ((labels[i], labels[j]) for j in range(1, n) for i in range(j))
     return SimpleGraph(labels, [p for p, b in zip(pairs, bits) if b])
-
-
-def canonical_graph(g):
-    """Relabel g into its canonical form, with labels v1..vn."""
-    return _from_bits(*canonical_bits(g))
 
 
 _ENUM_CACHE = {}
@@ -423,29 +434,32 @@ def enumerate_graphs(n):
     its automorphism group on subsets of at most half - e vertices (subsets
     in one orbit give isomorphic graphs).  Every graph with at most half
     edges arises this way, since deleting a vertex never adds edges.  A
-    graph is built for the first candidate of each canonical key; each
-    class with fewer than C(n,2) / 2 edges then adds its opposite."""
+    class is kept as its canonical key, one search per candidate; a new key
+    with fewer than C(n,2) / 2 edges adds its opposite's key too.  Sorted keys
+    give graph6 order: a class's graph6 string packs its key's `_bits`."""
     if not 1 <= n <= 7:
         raise ValueError("n must be between 1 and 7")
     if n in _ENUM_CACHE:
         return list(_ENUM_CACHE[n])
     if n == 1:
-        reps = [SimpleGraph(("v1",), ())]
+        keys = {(1, ())}
     else:
         pairs = n * (n - 1) // 2
-        seen = {}
+        full = (1 << n) - 1
+        keys = set()
         for g in enumerate_graphs(n - 1):
             room = pairs // 2 - len(g.edges)
             for nb in _orbit_representatives(g.masks, room):
                 cand = tuple(m | (nb >> i & 1) << (n - 1)
                              for i, m in enumerate(g.masks)) + (nb,)
                 key = canonical_bits(cand)
-                if key not in seen:
-                    seen[key] = canonical_graph(cand)
-        reps = list(seen.values())
-        reps += [canonical_graph(opposite(g)) for g in reps
-                 if 2 * len(g.edges) < pairs]
-    reps.sort(key=write_graph6)
+                if key in keys:
+                    continue
+                keys.add(key)
+                if 2 * (len(g.edges) + nb.bit_count()) < pairs:
+                    keys.add(canonical_bits(
+                        tuple(full ^ m ^ 1 << i for i, m in enumerate(cand))))
+    reps = [_from_bits(*k) for k in sorted(keys)]
     _ENUM_CACHE[n] = reps
     return list(reps)
 
@@ -457,17 +471,10 @@ def write_graph6(g):
     n = len(g.vertices)
     if n >= 63:
         raise ValueError("graph6 short form supports at most 62 vertices")
-    masks = g.masks
-    bits = [masks[j] >> i & 1 for j in range(1, n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    bits = "".join(map(str, _bits(g.masks, range(n))))
+    bits += "0" * (-len(bits) % 6)
+    return chr(n + 63) + "".join(chr(63 + int(bits[k:k + 6], 2))
+                                 for k in range(0, len(bits), 6))
 
 
 def read_graph6(text):
@@ -486,9 +493,7 @@ def read_graph6(text):
     need = (n * (n - 1) // 2 + 5) // 6
     if len(codes) - 1 != need:
         raise ValueError("graph6 string has wrong length for n=%d" % n)
-    bits = []
-    for c in codes[1:]:
-        bits.extend((c >> s) & 1 for s in range(5, -1, -1))
+    bits = [c >> s & 1 for c in codes[1:] for s in range(5, -1, -1)]
     if any(bits[n * (n - 1) // 2:]):
         raise ValueError("nonzero padding bits in graph6 string")
     return _from_bits(n, bits)

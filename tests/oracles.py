@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from gpwork.complexes import LinkComplex
-from gpwork.graphs import (SimpleGraph, canonical_bits, canonical_graph,
+from gpwork.graphs import (SimpleGraph, _from_bits, canonical_bits,
                            induced_subgraph, read_graph6, write_graph6)
 from gpwork.words import INF, GroupSpec, Word, identity, multiply
 
@@ -252,6 +252,11 @@ def brute_force_automorphisms(g):
     edges = {frozenset(ix[v] for v in e) for e in g.edges}
     return {perm for perm in permutations(range(len(g.vertices)))
             if {frozenset(perm[v] for v in e) for e in edges} == edges}
+
+
+def canonical_graph(g):
+    """Relabel g into its canonical form, with labels v1..vn."""
+    return _from_bits(*canonical_bits(g))
 
 
 @lru_cache(maxsize=None)

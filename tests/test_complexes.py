@@ -228,6 +228,11 @@ def test_link_predicates_match_oracles_on_corners():
     # a cycle, and not flag
     origin = vertex_link(_hollow_corner(), (0, 0, 0))
     assert not _is_flag(origin) and _is_cycle(origin)
+    # two disjoint triangles: every vertex has degree 2, but not one cycle
+    signed = [(d, s) for d in "abc" for s in (1, -1)]
+    two = LinkComplex(frozenset(signed), _close_faces(
+        e for tri in (signed[:3], signed[3:]) for e in combinations(tri, 2)))
+    assert not _is_cycle(two) and not oracles.edge_scan_is_cycle(two)
 
 
 def _stats_cases():

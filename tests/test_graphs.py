@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from gpwork import catalog
+from gpwork import catalog, graphs
 from gpwork.graphs import (SimpleGraph, _automorphisms, _orbit_representatives,
-                           _refine, are_isomorphic,
-                           canonical_bits, canonical_graph, cliques,
+                           _refine, are_isomorphic, canonical_bits, cliques,
                            co_contract, contract_edge,
                            double_along_link, enumerate_graphs, find_hole,
                            has_induced, induced_subgraph,
@@ -120,6 +119,9 @@ def test_find_hole_examples():
     assert find_hole(catalog.cycle(5), 5) == ("v1", "v2", "v3", "v4", "v5")
     assert find_hole(catalog.path(6), 5) is None
     assert find_hole(catalog.cycle(6), 5) == ("v1", "v2", "v3", "v4", "v5", "v6")
+    # every vertex has two neighbors, but the six are two triangles
+    two_triangles = SimpleGraph("abcdef", ["ab", "bc", "ac", "de", "ef", "df"])
+    assert find_hole(two_triangles, 4) is None
 
 
 def test_weakly_chordal_examples():
@@ -211,7 +213,7 @@ def test_canonical_graph_invariant_under_relabeling():
         perm = dict(zip(g.vertices, verts))
         h = SimpleGraph(tuple(sorted(verts, key=str)),
                         [(perm[u], perm[v]) for u, v in g.sorted_edges()])
-        assert canonical_graph(g) == canonical_graph(h)
+        assert oracles.canonical_graph(g) == oracles.canonical_graph(h)
 
 
 # graphs on n vertices by number of edges, OEIS A008406
@@ -232,6 +234,38 @@ def test_enumerate_graphs_counts():
         for g in enumerate_graphs(n):
             got[len(g.edges)] += 1
         assert got == want, n
+
+
+def test_enumeration_runs_one_canonical_search_per_candidate(monkeypatch):
+    # from an empty cache, for n and every smaller n it builds on: one search
+    # per candidate, and one for the opposite of each new class with fewer
+    # than C(n,2) / 2 edges
+    calls = []
+    real = graphs._canonical
+
+    def counting(masks):
+        calls.append(masks)
+        return real(masks)
+
+    monkeypatch.setattr(graphs, "_canonical", counting)
+    counts = []
+    for n in range(1, 8):
+        monkeypatch.setattr(graphs, "_ENUM_CACHE", {})
+        calls.clear()
+        enumerate_graphs(n)
+        counts.append(len(calls))
+    assert counts == [0, 2, 7, 24, 92, 442, 3512]
+
+
+def test_mutating_an_enumeration_leaves_the_next_one_alone(monkeypatch):
+    monkeypatch.setattr(graphs, "_ENUM_CACHE", {})
+    want = None
+    for _ in range(3):  # built, then twice from the cache
+        got = enumerate_graphs(5)
+        want = want or list(got)
+        assert got == want
+        got.reverse()
+        del got[3:]
 
 
 def test_enumerate_graphs_matches_unpruned_enumeration():
@@ -276,7 +310,7 @@ def test_automorphisms_match_brute_force():
 
 
 def test_enumerate_graphs_distinct():
-    seen = [canonical_graph(g) for g in enumerate_graphs(5)]
+    seen = [oracles.canonical_graph(g) for g in enumerate_graphs(5)]
     assert len(set(seen)) == len(seen)
 
 
