@@ -16,6 +16,9 @@ piles then hold the reduced word as a heap, read out from the bottom by
 taking, at each step, the least vertex whose next entry is a syllable.  For
 n syllables over the vertex set V this costs O(n |V|).  Exponents are
 reduced as they are pushed, so the kernel's words skip Word's checks.
+`cyclically_reduce` reads the pile ends: a syllable can reach the front of
+a normal form exactly when it is the bottom entry of its vertex's pile, and
+the back exactly when it is the top one.
 
 `enumerate_elements` writes the ball out directly as the normal forms whose
 letter cost fits: length is additive over their syllables (Green 1990;
@@ -24,7 +27,7 @@ Hermiller-Meier 1995).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import graphs
@@ -83,13 +86,15 @@ def _checked_order(v, m):
 
 @dataclass(frozen=True)
 class Word:
-    """A word over a GroupSpec; `canonical` marks a normalized value."""
+    """A word over a GroupSpec.  `canonical` is internal to the kernel: it
+    marks the words the kernel made in normal form, and takes no part in
+    equality or hashing."""
 
     spec: GroupSpec
     syllables: tuple
-    canonical: bool = False
+    canonical: bool = field(default=False, compare=False)
 
-    def __init__(self, spec, syllables, canonical=False):
+    def __init__(self, spec, syllables):
         syls = []
         for v, e in syllables:
             if v not in spec.order:
@@ -100,7 +105,6 @@ class Word:
             syls.append((v, e))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "syllables", tuple(syls))
-        object.__setattr__(self, "canonical", canonical)
 
     def __len__(self):
         return len(self.syllables)
@@ -110,7 +114,7 @@ class Word:
 
 
 def identity(spec):
-    return Word(spec, (), canonical=True)
+    return _word(spec, ())
 
 
 def _word(spec, syllables):
@@ -220,36 +224,25 @@ def in_kernel_kpf(w):
 
 
 def cyclically_reduce(w):
-    """Return (w_reduced, c) with w = c * w_reduced * c^-1, w_reduced of
-    minimal length among conjugates reachable by stripping end syllables."""
+    """Return (r, c) with w = c * r * c^-1 and r cyclically reduced: no
+    vertex has one syllable of r that can move to the front and another
+    that can move to the back, where the two would merge.  Each step moves
+    the first syllable in word order whose pile holds a syllable at both
+    ends to the back, where it merges, and appends it to the conjugator."""
     spec = w.spec
-    adj = spec.graph.adj
-    cur = normalize(w)
-    conj = identity(spec)
+    index = spec.graph.index
+    syls = normalize(w).syllables
+    moved = []
     while True:
-        syls = cur.syllables
-        n = len(syls)
-        improved = None
+        piles, _ = _pile(spec, syls)
         for i, (v, e) in enumerate(syls):
-            front_ok = all(v in adj[u] for u, _ in syls[:i])
-            back_ok = all(v in adj[u] for u, _ in syls[i + 1:])
-            if not (front_ok or back_ok):
-                continue
-            s = Word(spec, ((v, e),))
-            if front_ok:
-                cand = multiply(multiply(invert(s), cur), s)
-                if len(cand) < n:
-                    improved = (cand, s)
-                    break
-            if back_ok:
-                cand = multiply(multiply(s, cur), invert(s))
-                if len(cand) < n:
-                    improved = (cand, invert(s))
-                    break
-        if improved is None:
-            return cur, conj
-        cur, s = improved
-        conj = multiply(conj, s)
+            pile = piles[index[v]]
+            if len(pile) > 1 and pile[0] is not None and pile[-1] is not None:
+                break
+        else:
+            return _word(spec, syls), _normal_form(spec, moved)
+        moved.append((v, e))
+        syls = _normal_form(spec, syls[:i] + syls[i + 1:] + ((v, e),)).syllables
 
 
 def _ball(spec, max_len, exp_bound, cap):

@@ -10,7 +10,8 @@ from itertools import combinations, permutations, product
 from gpwork.complexes import LinkComplex
 from gpwork.graphs import (SimpleGraph, _from_bits, canonical_bits,
                            induced_subgraph, read_graph6, write_graph6)
-from gpwork.words import INF, GroupSpec, Word, identity, multiply
+from gpwork.words import (INF, GroupSpec, Word, identity, invert, multiply,
+                          normalize)
 
 
 def shuffle_closure_normal_form(spec, syllables):
@@ -114,6 +115,59 @@ def bfs_ball(spec, max_len, exp_bound=1, cap=None):
     index = spec.graph.index
     return sorted(seen.values(), key=lambda w: (
         len(w), [(index[v], e < 0, abs(e)) for v, e in w.syllables]))
+
+
+def trial_conjugation_reduce(w):
+    """cyclically_reduce by trial conjugation: scan the normal form for a
+    syllable that commutes with everything before it (or after it), conjugate
+    it to the other end, and keep the first conjugate that is shorter.
+    Returns (w_reduced, c) with w = c * w_reduced * c^-1."""
+    spec = w.spec
+    adj = spec.graph.adj
+    cur = normalize(w)
+    conj = identity(spec)
+    while True:
+        syls = cur.syllables
+        n = len(syls)
+        improved = None
+        for i, (v, e) in enumerate(syls):
+            front_ok = all(v in adj[u] for u, _ in syls[:i])
+            back_ok = all(v in adj[u] for u, _ in syls[i + 1:])
+            if not (front_ok or back_ok):
+                continue
+            s = Word(spec, ((v, e),))
+            if front_ok:
+                cand = multiply(multiply(invert(s), cur), s)
+                if len(cand) < n:
+                    improved = (cand, s)
+                    break
+            if back_ok:
+                cand = multiply(multiply(s, cur), invert(s))
+                if len(cand) < n:
+                    improved = (cand, invert(s))
+                    break
+        if improved is None:
+            return cur, conj
+        cur, s = improved
+        conj = multiply(conj, s)
+
+
+def cyclic_reduction_error(spec, syllables):
+    """None if the syllables are cyclically reduced, else the reason: some
+    vertex has one syllable that commutes with everything before it and
+    another that commutes with everything after it."""
+    adj = spec.graph.adj
+    front, back = {}, {}
+    for i, (v, _) in enumerate(syllables):
+        if all(v in adj[u] for u, _ in syllables[:i]):
+            front[v] = i
+        if all(v in adj[u] for u, _ in syllables[i + 1:]):
+            back[v] = i
+    for v, i in front.items():
+        if back.get(v, i) != i:
+            return "syllables %d and %d of %s can meet around the end" % (
+                i, back[v], v)
+    return None
 
 
 def first_collision(h, ball):

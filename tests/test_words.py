@@ -131,6 +131,16 @@ def test_kp0_inside_kpf():
             assert in_kernel_kpf(w)
 
 
+def test_word_canonical_flag_is_internal():
+    # P2: a and b commute
+    spec = GroupSpec(catalog.path(2), 2)
+    with pytest.raises(TypeError):
+        Word(spec, [("b", 1), ("a", 1)], canonical=True)
+    w = Word(spec, [("a", 1)])
+    assert normalize(w) == w and hash(normalize(w)) == hash(w)
+    assert identity(spec) == Word(spec, ())
+
+
 def test_cyclically_reduce():
     spec = example_spec()
     w = parse_word(spec, "c a c^-1")
@@ -138,11 +148,14 @@ def test_cyclically_reduce():
     assert len(red) == 1
     assert equal(multiply(multiply(conj, red), invert(conj)), w)
     rng = random.Random(3)
-    for _ in range(100):
-        w = oracles.random_word(spec, rng, 4)
+    cases = [(spec, oracles.random_word(spec, rng, 4)) for _ in range(100)]
+    cases += [(s, Word(s, oracles.random_syllables(s, rng, 300, exp_window=2)))
+              for s in long_word_specs() for _ in range(3)]
+    for s, w in cases:
         red, conj = cyclically_reduce(w)
         assert equal(multiply(multiply(conj, red), invert(conj)), w)
         assert len(red) <= len(normalize(w))
+        assert oracles.cyclic_reduction_error(s, red.syllables) is None
 
 
 def long_word_specs():
@@ -287,3 +300,14 @@ if HAVE_HYPOTHESIS:
                 return str(e)
 
         assert run(enumerate_elements) == run(oracles.bfs_ball)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_cyclically_reduce_matches_trial_conjugation_oracle(rng):
+        # about one word in five reduces
+        spec = oracles.random_spec(rng, 7)
+        w = oracles.random_word(spec, rng, 30)
+        red, conj = cyclically_reduce(w)
+        red0, conj0 = oracles.trial_conjugation_reduce(w)
+        assert red.syllables == red0.syllables
+        assert conj.syllables == conj0.syllables
