@@ -5,8 +5,10 @@ integer interval for finite-order directions (and truncated infinite ones),
 or a cyclic range modeling a circle factor by a finite cover.  Cubes are
 implicit: a k-cube for every base lattice point and every k-clique of
 directions that fits in the box.  Hand-built complexes with an explicit cube
-set are supported as negative fixtures for the curvature and specialness
-checks.
+set, closed under faces once, are supported as negative fixtures for the
+curvature and specialness checks.  Specialness is read off the graph: the
+link of the one-vertex model complex joins two signed directions exactly
+when the directions are adjacent.
 """
 
 from __future__ import annotations
@@ -64,6 +66,20 @@ class CubeComplex:
     box: Box = None
     explicit_cubes: frozenset = None  # {(point-tuple, frozenset-of-directions)}
 
+    def __post_init__(self):
+        """Exactly one of a box with an axis per vertex and cubes with a
+        coordinate per vertex and directions among the vertices."""
+        if (self.box is None) == (self.explicit_cubes is None):
+            raise ValueError("a complex needs either a box or explicit cubes")
+        dirs = set(self.dirs)
+        if self.box is not None and set(self.box.by_vertex) != dirs:
+            raise ValueError("the box's axes and the vertices differ at %r" % (
+                sorted(map(str, dirs.symmetric_difference(self.box.by_vertex))),))
+        for base, dset in self.explicit_cubes or ():
+            if len(base) != len(dirs) or not dirs.issuperset(dset):
+                raise ValueError("cube %r needs %d coordinates and directions "
+                                 "in the graph" % ((base, dset), len(dirs)))
+
     @cached_property
     def dirs(self):
         return self.spec.graph.vertices
@@ -74,16 +90,27 @@ class CubeComplex:
         return graphs.cliques(self.spec.graph)
 
     @cached_property
+    def _cells(self):
+        """Explicit complexes: every face of every listed cube, each once, as
+        (base, frozenset of directions)."""
+        return frozenset((face_base, frozenset(sub))
+                         for base, dset in self.explicit_cubes
+                         for k in range(len(dset) + 1)
+                         for sub in combinations(dset, k)
+                         for face_base in _corners(self, base,
+                                                   set(dset).difference(sub)))
+
+    @cached_property
     def _corner_signings(self):
-        """Explicit complexes: per vertex, the signed directions of each cube
-        with a corner there, +1 where the corner is the cube's base."""
-        idx = {v: i for i, v in enumerate(self.dirs)}
+        """Explicit complexes: per vertex, the signed directions of each cell
+        with a corner there, +1 where the corner is the cell's base."""
+        idx = self.spec.graph.index
         out = {}
-        for base, dset in self.explicit_cubes:
+        for base, dset in self._cells:
             for corner in _corners(self, base, dset):
-                out.setdefault(corner, []).append(
-                    [(d, 1 if corner[idx[d]] == base[idx[d]] else -1)
-                     for d in dset])
+                out.setdefault(corner, set()).add(frozenset(
+                    (d, 1 if corner[idx[d]] == base[idx[d]] else -1)
+                    for d in dset))
         return out
 
     def vertices(self):
@@ -95,7 +122,7 @@ class CubeComplex:
 def _corners(X, base, dset):
     """The corners of the cube at `base` spanning directions `dset`; with
     the directions of a face left out, the bases of its parallel faces."""
-    idx = {v: i for i, v in enumerate(X.dirs)}
+    idx = X.spec.graph.index
     outs = [base]
     for d in dset:
         nxt = []
@@ -134,15 +161,8 @@ def cell_counts(X):
     """Cell count per dimension."""
     counts = {}
     if X.explicit_cubes is not None:
-        verts = set()
-        cells = {}
-        for base, dset in X.explicit_cubes:
-            for k in range(len(dset) + 1):
-                for sub in combinations(dset, k):
-                    for face_base in _corners(X, base, dset.difference(sub)):
-                        cells.setdefault(k, set()).add((face_base, frozenset(sub)))
-        for k, cs in cells.items():
-            counts[k] = len(cs)
+        for _, dset in X._cells:
+            counts[len(dset)] = counts.get(len(dset), 0) + 1
         return counts
     for clique in X.cliques:
         total = 1
@@ -176,33 +196,16 @@ def _link(simplices):
     return LinkComplex(frozenset().union(*simplices), simplices)
 
 
-def _signed_cliques(cliques, room):
-    """The link whose simplices are the signings of the nonempty cliques,
-    each direction v signed by the signed vertices in room[v].  Every face of
-    such a signing is one too, so the family is closed under faces as
-    listed."""
-    return _link(frozenset(s) for c in cliques if c
-                 for s in product(*(room[v] for v in c)))
-
-
-def _close_faces(maximal):
-    simps = set()
-    for s in maximal:
-        s = frozenset(s)
-        for k in range(1, len(s) + 1):
-            for sub in combinations(s, k):
-                simps.add(frozenset(sub))
-    return frozenset(simps)
-
-
 def vertex_link(X, p):
     """Link of the complex at lattice point p: signed-direction simplices of
     the incident cube corners.  In a box complex these are the signings of
-    the cliques with room at p: a cyclic axis has room both ways, an interval
-    axis upward below its top and downward above its bottom.  In an explicit
-    complex they are the faces of the signings of the cubes with a corner at
-    p, indexed once per complex.  A point that is not a vertex raises
-    ValueError."""
+    the nonempty cliques with room at p: a cyclic axis has room both ways,
+    an interval axis upward below its top and downward above its bottom.
+    Every face of such a signing is one too, so the family is closed under
+    faces as listed; at any point of an all-cyclic box it is the link of the
+    one-vertex model complex.  In an explicit complex they are the signings
+    at p of the cells with a corner there, which are already closed under
+    faces.  A point that is not a vertex raises ValueError."""
     p = tuple(p)
     if len(p) != len(X.dirs):
         raise ValueError("point %r needs %d coordinates" % (p, len(X.dirs)))
@@ -215,10 +218,11 @@ def vertex_link(X, p):
             top, bottom = (r[2], r[1]) if r[0] == "interval" else (None, None)
             room[v] = tuple((v, s) for s, end in ((1, top), (-1, bottom))
                             if c != end)
-        return _signed_cliques(X.cliques, room)
+        return _link(frozenset(s) for c in X.cliques if c
+                     for s in product(*(room[v] for v in c)))
     if p not in X._corner_signings:
         raise ValueError("point %r is not a vertex of the complex" % (p,))
-    return _link(_close_faces(X._corner_signings[p]))
+    return _link(s for s in X._corner_signings[p] if s)
 
 
 def is_npc(X):
@@ -247,32 +251,23 @@ def _is_cycle(lk):
     return graphs._cycle(masks, (1 << len(masks)) - 1) is not None
 
 
-def salvetti_link(graph):
-    """Link of the unique vertex of the one-vertex cube complex for the
-    right-angled Artin group on `graph`: the flag complex on signed vertices,
-    adjacency inherited from the graph, opposite signs of one vertex never
-    adjacent.  Every signing of every clique is a simplex."""
-    return _signed_cliques(graphs.cliques(graph),
-                           {v: ((v, 1), (v, -1)) for v in graph.vertices})
-
-
 def check_special_map(X):
     """Verify the direction labeling maps every vertex link to the one-vertex
     model complex's link by a local isometry: injective on vertices,
     simplicial, image a full subcomplex.  Returns (ok, failures)."""
-    model = salvetti_link(X.spec.graph)
     failures = []
     for p in X.vertices():
-        failures.extend(check_link_special(vertex_link(X, p), model, at=p))
+        failures.extend(check_link_special(vertex_link(X, p), X.spec.graph, at=p))
     return (not failures), failures
 
 
-def check_link_special(lk, model, at=None):
-    """Local-isometry conditions for a single link against the model link
-    (`salvetti_link`): labels (direction, sign) injective, every link edge
-    mapped onto a model edge ("not simplicial"), and every model edge between
-    two image vertices hit by a link edge ("not full").  Returns failure
-    records."""
+def check_link_special(lk, graph, at=None):
+    """Local-isometry conditions for a single link against the one-vertex
+    model complex's link, which joins two signed directions exactly when the
+    directions are adjacent in `graph`: labels (direction, sign) injective,
+    every link edge mapped onto a model edge ("not simplicial"), and every
+    model edge between two image vertices hit by a link edge ("not full").
+    Returns failure records."""
     failures = []
     labeled = [(lv, lv[:2]) for lv in sorted(lk.verts, key=str)]
     seen = set()
@@ -281,9 +276,8 @@ def check_link_special(lk, model, at=None):
             failures.append(("not injective", at, lab))
         seen.add(lab)
     for (a, la), (b, lb) in combinations(labeled, 2):
-        # la == lb would look up the vertex {la}, not an edge
         linked = frozenset((a, b)) in lk.simplices
-        if linked != (la != lb and frozenset((la, lb)) in model.simplices):
+        if linked != (la[0] in graph.adj.get(lb[0], ())):
             failures.append(("not simplicial" if linked else "not full", at,
                              (la, lb)))
     return failures
@@ -308,13 +302,12 @@ def stats_line(X):
     checks; the cycle check runs only on a pure 2-dimensional complex and
     stops at the first link that fails it."""
     counts = cell_counts(X)
-    model = salvetti_link(X.spec.graph)
     npc = special = True
     surface = _pure_2d(counts)
     for p in X.vertices():
         lk = vertex_link(X, p)
         npc = npc and _is_flag(lk)
-        special = special and not check_link_special(lk, model, at=p)
+        special = special and not check_link_special(lk, X.spec.graph, at=p)
         surface = surface and _is_cycle(lk)
     return ("V=%d E=%d F=%d C3=%d chi=%d npc=%s special=%s surface=%s"
             % (counts.get(0, 0), counts.get(1, 0), counts.get(2, 0),
@@ -356,7 +349,4 @@ def parse_complex(text):
     ranges = graphs.lines_by_vertex(
         lines["box"], spec.order,
         lambda v, fields: _box_range(spec.order[v], v, fields))
-    missing = set(spec.graph.vertices) - set(ranges)
-    if missing:
-        raise ValueError("missing box ranges for %r" % (sorted(map(str, missing)),))
     return CubeComplex(spec, Box(ranges))

@@ -363,6 +363,38 @@ def face_closure(maximal):
                      for sub in combinations(sorted(s, key=str), k))
 
 
+def salvetti_link(graph):
+    """Link of the unique vertex of the one-vertex cube complex for the
+    right-angled Artin group on `graph`: the flag complex on signed vertices,
+    adjacency inherited from the graph, opposite signs of one vertex never
+    adjacent.  Every signing of every clique is a simplex."""
+    return LinkComplex(
+        frozenset((v, s) for v in graph.vertices for s in (1, -1)),
+        frozenset(frozenset(zip(c, signs)) for c in map(tuple, subset_cliques(graph))
+                  if c for signs in product((1, -1), repeat=len(c))))
+
+
+def pairwise_link_special(lk, model, at=None):
+    """The local-isometry failure records of a link against a materialized
+    model link, such as `salvetti_link`: repeated (direction, sign) labels,
+    and every pair of link vertices whose being linked differs from their
+    labels' being linked in the model."""
+    failures = []
+    labeled = [(lv, lv[:2]) for lv in sorted(lk.verts, key=str)]
+    seen = set()
+    for _, lab in labeled:
+        if lab in seen:
+            failures.append(("not injective", at, lab))
+        seen.add(lab)
+    for (a, la), (b, lb) in combinations(labeled, 2):
+        # la == lb would look up the vertex {la}, not an edge
+        linked = frozenset((a, b)) in lk.simplices
+        if linked != (la != lb and frozenset((la, lb)) in model.simplices):
+            failures.append(("not simplicial" if linked else "not full", at,
+                             (la, lb)))
+    return failures
+
+
 def signing_loop_link(X, p):
     """The vertex link of a box complex at p, by trying every signing of
     every nonempty clique: a signing is kept when each of its interval

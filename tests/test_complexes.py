@@ -4,12 +4,11 @@ from itertools import combinations, product
 import pytest
 
 from gpwork import catalog, complexes
-from gpwork.complexes import (Box, CubeComplex, LinkComplex, _close_faces,
-                              _is_cycle, _is_flag, build_z0, build_zf,
-                              cell_counts, check_link_special, check_special_map,
+from gpwork.complexes import (Box, CubeComplex, LinkComplex, _is_cycle,
+                              _is_flag, build_z0, build_zf, cell_counts,
+                              check_link_special, check_special_map,
                               euler_characteristic, format_complex, is_closed_surface,
-                              is_npc, parse_complex, salvetti_link, stats_line,
-                              vertex_link)
+                              is_npc, parse_complex, stats_line, vertex_link)
 from gpwork.graphs import SimpleGraph, enumerate_graphs
 from gpwork.words import INF, GroupSpec
 
@@ -127,33 +126,49 @@ def test_explicit_vertex_link_refuses_a_point_that_is_not_a_vertex():
             vertex_link(X, p)
 
 
-def test_salvetti_link_counts():
-    lk = salvetti_link(catalog.path(2))
-    assert len(lk.verts) == 4
-    assert sum(1 for s in lk.simplices if len(s) == 2) == 4
-    lk3 = salvetti_link(catalog.cycle(3))
-    assert len([s for s in lk3.simplices if len(s) == 3]) == 8
+def _model_links(g):
+    """The vertex links at up to five random points of the all-cyclic box
+    on g: each is the link of the one-vertex model complex."""
+    X = build_zf(GroupSpec(g, INF), 3)
+    points = X.vertices()
+    return [vertex_link(X, p) for p in
+            random.Random(len(points)).sample(points, min(5, len(points)))]
 
 
-def test_salvetti_link_is_face_closure_of_all_signings():
+def test_model_link_counts():
+    for lk in _model_links(catalog.path(2)):
+        assert len(lk.verts) == 4
+        assert sum(1 for s in lk.simplices if len(s) == 2) == 4
+    for lk in _model_links(catalog.cycle(3)):
+        assert len([s for s in lk.simplices if len(s) == 3]) == 8
+
+
+def test_model_link_is_face_closure_of_all_signings():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             signings = [frozenset(zip(c, signs))
                         for c in oracles.subset_cliques(g) if c
                         for signs in product((1, -1), repeat=len(c))]
             verts = {(v, s) for v in g.vertices for s in (1, -1)}
-            assert salvetti_link(g) == LinkComplex(
-                frozenset(verts), oracles.face_closure(signings))
+            model = LinkComplex(frozenset(verts), oracles.face_closure(signings))
+            assert oracles.salvetti_link(g) == model
+            for lk in _model_links(g):
+                assert lk == model
 
 
 def _triangle_spec():
     return GroupSpec(catalog.cycle(3), INF)
 
 
+def _explicit(spec, *cubes):
+    """The complex of the listed (base, directions) cubes."""
+    return CubeComplex(spec, explicit_cubes=frozenset(
+        (base, frozenset(d)) for base, d in cubes))
+
+
 def _corner(*dsets):
     """Cubes at the origin spanning the given direction sets of C3."""
-    return CubeComplex(_triangle_spec(), explicit_cubes=frozenset(
-        ((0, 0, 0), frozenset(d)) for d in dsets))
+    return _explicit(_triangle_spec(), *(((0, 0, 0), d) for d in dsets))
 
 
 def _hollow_corner():
@@ -167,8 +182,7 @@ def _filled_corner():
 
 def _noncommuting_square():
     """A square on a and c, which do not commute in P3."""
-    return CubeComplex(GroupSpec(catalog.path(3), INF),
-                       explicit_cubes=frozenset({((0, 0, 0), frozenset({"a", "c"}))}))
+    return _explicit(GroupSpec(catalog.path(3), INF), ((0, 0, 0), "ac"))
 
 
 def test_hollow_corner_is_not_npc():
@@ -218,6 +232,54 @@ def test_box_and_explicit_cubes_agree():
                     assert vertex_link(Y, p) == vertex_link(X, p)
 
 
+def _same_complex(X, Y):
+    assert cell_counts(X) == cell_counts(Y)
+    assert X.vertices() == Y.vertices()
+    for p in X.vertices():
+        assert vertex_link(X, p) == vertex_link(Y, p)
+
+
+def test_explicit_cubes_listed_redundantly():
+    # P2 with infinite orders: a and b commute
+    spec = GroupSpec(catalog.path(2), INF)
+    square = ((0, 0), "ab")
+    # a square listed with one of its own edges
+    _same_complex(_explicit(spec, square, ((0, 1), "a")), _explicit(spec, square))
+    # two squares sharing an edge, listed with it: the edge counts once, as
+    # in the box complex with the same two squares
+    pair = _explicit(spec, square, ((1, 0), "ab"))
+    _same_complex(_explicit(spec, square, ((1, 0), "ab"), ((1, 0), "b")), pair)
+    _same_complex(pair, CubeComplex(spec, Box({"a": ("interval", 0, 2),
+                                               "b": ("interval", 0, 1)})))
+    assert cell_counts(pair) == {0: 6, 1: 7, 2: 2}
+    # a listed 0-cube at a corner adds nothing; away from the square it is a
+    # vertex with an empty link
+    _same_complex(_explicit(spec, square, ((1, 1), "")), _explicit(spec, square))
+    lone = _explicit(spec, square, ((5, 5), ""))
+    assert cell_counts(lone) == {0: 5, 1: 4, 2: 1}
+    assert lone.vertices()[-1] == (5, 5)
+    assert vertex_link(lone, (5, 5)) == LinkComplex(frozenset(), frozenset())
+
+
+_P2 = GroupSpec(catalog.path(2), INF)
+_P2_BOX = Box({"a": ("interval", 0, 1), "b": ("interval", 0, 1)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CubeComplex(_P2),
+    lambda: CubeComplex(_P2, _P2_BOX, frozenset({((0, 0), frozenset("ab"))})),
+    lambda: CubeComplex(_P2, Box({"a": ("interval", 0, 1)})),
+    lambda: CubeComplex(_P2, Box(dict(_P2_BOX.ranges, c=("cyclic", 3)))),
+    lambda: _explicit(_P2, ((0, 0), "ac")),
+    lambda: _explicit(_P2, ((0, 0, 0), "ab")),
+], ids=["neither box nor cubes", "both box and cubes", "box missing a vertex",
+        "box with an extra axis", "cube direction outside the graph",
+        "cube base of the wrong length"])
+def test_complex_rejects_inconsistent_input(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_link_predicates_match_oracles_on_corners():
     for X in (_hollow_corner(), _filled_corner()):
         for p in X.vertices():
@@ -230,7 +292,7 @@ def test_link_predicates_match_oracles_on_corners():
     assert not _is_flag(origin) and _is_cycle(origin)
     # two disjoint triangles: every vertex has degree 2, but not one cycle
     signed = [(d, s) for d in "abc" for s in (1, -1)]
-    two = LinkComplex(frozenset(signed), _close_faces(
+    two = LinkComplex(frozenset(signed), oracles.face_closure(
         e for tri in (signed[:3], signed[3:]) for e in combinations(tri, 2)))
     assert not _is_cycle(two) and not oracles.edge_scan_is_cycle(two)
 
@@ -278,7 +340,7 @@ def test_duplicate_label_link_is_not_special():
     # a hand-built link where two vertices carry the same signed direction
     lk = LinkComplex(frozenset({("a", 1, 0), ("a", 1, 1)}),
                      frozenset({frozenset({("a", 1, 0)}), frozenset({("a", 1, 1)})}))
-    failures = check_link_special(lk, salvetti_link(catalog.path(2)))
+    failures = check_link_special(lk, catalog.path(2))
     assert any(kind == "not injective" for kind, _, _ in failures)
 
 
@@ -287,7 +349,7 @@ def test_missing_edge_link_is_not_full():
     # directions is missing: the image is not a full subcomplex
     lk = LinkComplex(frozenset({("a", 1), ("b", 1)}),
                      frozenset({frozenset({("a", 1)}), frozenset({("b", 1)})}))
-    failures = check_link_special(lk, salvetti_link(catalog.path(2)))
+    failures = check_link_special(lk, catalog.path(2))
     assert any(kind == "not full" for kind, _, _ in failures)
 
 
@@ -347,11 +409,14 @@ def test_box_monotone_links():
 
 
 if HAVE_HYPOTHESIS:
-    SIGNED = tuple((d, s) for d in "abcd" for s in (1, -1))
+    # labels on directions a-f, two of them also with a copy index; the
+    # graphs of the special check below use at most a-e
+    SIGNED = (tuple((d, s) for d in "abcdef" for s in (1, -1))
+              + tuple((d, s, c) for d in "ab" for s in (1, -1) for c in (0, 1)))
 
     @st.composite
     def face_closed_links(draw):
-        """A face-closed complex on at most 7 signed directions: every vertex,
+        """A face-closed complex on at most 7 link vertices: every vertex,
         sometimes a ring through all of them, and up to six random simplices
         of two to four vertices."""
         verts = draw(st.lists(st.sampled_from(SIGNED), unique=True, max_size=7))
@@ -362,7 +427,15 @@ if HAVE_HYPOTHESIS:
             maximal += draw(st.lists(st.lists(
                 st.sampled_from(verts), min_size=2, max_size=4, unique=True),
                 max_size=6))
-        return LinkComplex(frozenset(verts), _close_faces(maximal))
+        return LinkComplex(frozenset(verts), oracles.face_closure(maximal))
+
+    @st.composite
+    def small_graphs(draw):
+        """A graph on one to five of the directions a-e, each edge drawn."""
+        verts = draw(st.lists(st.sampled_from("abcde"), unique=True,
+                              min_size=1, max_size=5))
+        return SimpleGraph(verts, [e for e in combinations(verts, 2)
+                                   if draw(st.booleans())])
 
     @st.composite
     def box_points(draw):
@@ -398,3 +471,9 @@ if HAVE_HYPOTHESIS:
     def test_link_predicates_match_oracles(lk):
         assert _is_flag(lk) == oracles.subset_is_flag(lk)
         assert _is_cycle(lk) == oracles.edge_scan_is_cycle(lk)
+
+    @given(face_closed_links(), small_graphs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_link_special_matches_model_link_oracle(lk, g):
+        assert check_link_special(lk, g, at="p") == oracles.pairwise_link_special(
+            lk, oracles.salvetti_link(g), at="p")
