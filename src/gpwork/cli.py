@@ -74,6 +74,8 @@ def _graph_args(p, with_orders=False):
 def cmd_graph(args, out):
     op = args.op
     if op == "enum":
+        if not 1 <= args.n <= 7:  # the census range
+            raise UsageError("n must be between 1 and 7")
         for g in graphs.enumerate_graphs(args.n):
             out.write(graphs.write_graph6(g) + "\n")
         return 0

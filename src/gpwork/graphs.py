@@ -11,7 +11,8 @@ vertex.  Vertices are colored by iterated neighbor-degree refinement
 The canonical form (`canonical_bits`) is the least graph6-order bit string
 (`_bits`) over the relabelings that list the color classes in color order.
 Isomorphism maps and automorphism groups come from one backtracking search
-(`_bijections`).
+(`_bijections`).  Holes and antiholes come from one walk (`_hole`), an
+antihole's on the complemented masks (`_complement`).
 """
 
 from __future__ import annotations
@@ -204,6 +205,17 @@ def _cycle(masks, s):
             return cyc if len(cyc) == s.bit_count() else None
 
 
+def _hole(vertices, masks, min_len):
+    """`find_hole` on adjacency masks, the cycle read through `vertices`."""
+    cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
+    for length in range(min_len, len(cands) + 1):
+        for _, s in _subsets(cands, length):
+            cyc = _cycle(masks, s)
+            if cyc is not None:
+                return tuple(vertices[v] for v in cyc)
+    return None
+
+
 def find_hole(g, min_len=5):
     """Shortest induced cycle of length >= min_len, lexicographically least.
 
@@ -214,29 +226,27 @@ def find_hole(g, min_len=5):
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
-    masks = g.masks
-    cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
-    for length in range(min_len, len(cands) + 1):
-        for _, s in _subsets(cands, length):
-            cyc = _cycle(masks, s)
-            if cyc is not None:
-                return tuple(g.vertices[v] for v in cyc)
-    return None
+    return _hole(g.vertices, g.masks, min_len)
+
+
+def _complement(masks):
+    """The adjacency masks of the opposite graph, in the same vertex order."""
+    full = (1 << len(masks)) - 1
+    return tuple(full ^ m ^ 1 << i for i, m in enumerate(masks))
 
 
 def is_weakly_chordal(g):
     """(verdict, witness): no hole of length >= 5 in g nor in its opposite.
 
     The witness is ('hole', cycle) or ('antihole', cycle) on failure, where an
-    antihole cycle is listed in the cyclic order it has inside opposite(g).
+    antihole cycle is walked on g's complemented masks, so it is listed in the
+    cyclic order it has inside opposite(g).
     """
     hole = find_hole(g, 5)
     if hole is not None:
         return False, ("hole", hole)
-    anti = find_hole(opposite(g), 5)
-    if anti is not None:
-        return False, ("antihole", anti)
-    return True, None
+    anti = _hole(g.vertices, _complement(g.masks), 5)
+    return (True, None) if anti is None else (False, ("antihole", anti))
 
 
 # -- isomorphism and canonical forms --------------------------------------
@@ -338,15 +348,15 @@ def has_induced(g, pattern):
             continue
         sub = tuple(sum(1 << b for b, w in enumerate(subset) if masks[v] >> w & 1)
                     for v in subset)
-        key = key or _canonical(pattern.masks)
-        if _canonical(sub) == key:
+        key = key or _key(pattern.masks)
+        if _key(sub) == key:
             return frozenset(g.vertices[v] for v in subset)
     return None
 
 
-def _canonical(masks):
+def _canonical(masks, colors):
+    """The orders the `canonical_bits` search keeps, given `_refine` colors."""
     n = len(masks)
-    colors = _refine(masks)
     cell_of = {}
     for v, c in enumerate(colors):
         cell_of[c] = cell_of.get(c, 0) | 1 << v
@@ -372,7 +382,12 @@ def _canonical(masks):
                 if col == best:
                     keep.append((prefix + (v,), used | 1 << v))
         level = keep
-    return (n, _bits(masks, level[0][0]))
+    return [order for order, _ in level]
+
+
+def _key(masks):
+    """`canonical_bits` of a tuple of adjacency masks."""
+    return (len(masks), _bits(masks, _canonical(masks, _refine(masks))[0]))
 
 
 def _bits(masks, order):
@@ -394,7 +409,7 @@ def canonical_bits(g):
     N(u) - {v} = N(v) - {u}) that are both unplaced give equal strings,
     because swapping them is an automorphism fixing the prefix.
     """
-    return _canonical(g if isinstance(g, tuple) else g.masks)
+    return _key(g if isinstance(g, tuple) else g.masks)
 
 
 def _from_bits(n, bits):
@@ -428,37 +443,39 @@ def enumerate_graphs(n):
     """All isomorphism classes of graphs on n vertices, canonical labels,
     in graph6 order.
 
-    Built by one-vertex extensions of the graphs on n - 1 vertices, for the
-    lower half of the edge counts only: with half = C(n,2) // 2, a parent
-    with e edges gets a new last vertex joined to one subset per orbit of
-    its automorphism group on subsets of at most half - e vertices (subsets
-    in one orbit give isomorphic graphs).  Every graph with at most half
-    edges arises this way, since deleting a vertex never adds edges.  A
-    class is kept as its canonical key, one search per candidate; a new key
-    with fewer than C(n,2) / 2 edges adds its opposite's key too.  Sorted keys
-    give graph6 order: a class's graph6 string packs its key's `_bits`."""
-    if not 1 <= n <= 7:
-        raise ValueError("n must be between 1 and 7")
+    Canonical augmentation (McKay, 1998) of the graphs on n - 1 vertices,
+    for the lower half of the edge counts: with half = C(n,2) // 2, a parent
+    with e edges gets a new last vertex joined to one subset per orbit of its
+    automorphism group on subsets of at most half - e vertices.  Every graph
+    with at most half edges arises, since deleting a vertex never adds
+    edges.  A candidate is accepted, once per class, when its new vertex is
+    in the orbit of the one the canonical order places last, that is, when a
+    kept order of the search ends in it (it has the greatest index).  That
+    vertex has the greatest degree and color, which rejects most candidates
+    before any search.  An accepted class with fewer than C(n,2) / 2 edges
+    adds its opposite's key.  Sorted keys give graph6 order."""
+    if not 1 <= n <= 8:
+        raise ValueError("n must be between 1 and 8")
     if n in _ENUM_CACHE:
         return list(_ENUM_CACHE[n])
-    if n == 1:
-        keys = {(1, ())}
-    else:
-        pairs = n * (n - 1) // 2
-        full = (1 << n) - 1
-        keys = set()
-        for g in enumerate_graphs(n - 1):
-            room = pairs // 2 - len(g.edges)
-            for nb in _orbit_representatives(g.masks, room):
-                cand = tuple(m | (nb >> i & 1) << (n - 1)
-                             for i, m in enumerate(g.masks)) + (nb,)
-                key = canonical_bits(cand)
-                if key in keys:
-                    continue
-                keys.add(key)
-                if 2 * (len(g.edges) + nb.bit_count()) < pairs:
-                    keys.add(canonical_bits(
-                        tuple(full ^ m ^ 1 << i for i, m in enumerate(cand))))
+    pairs = n * (n - 1) // 2
+    keys = [(1, ())] if n == 1 else []
+    for g in enumerate_graphs(n - 1) if n > 1 else ():
+        room = pairs // 2 - len(g.edges)
+        for nb in _orbit_representatives(g.masks, room):
+            cand = tuple(m | (nb >> i & 1) << (n - 1)
+                         for i, m in enumerate(g.masks)) + (nb,)
+            if nb.bit_count() < max(map(int.bit_count, cand)):
+                continue
+            colors = _refine(cand)
+            if colors[-1] < max(colors):
+                continue
+            orders = _canonical(cand, colors)
+            if all(order[-1] < n - 1 for order in orders):
+                continue
+            keys.append((n, _bits(cand, orders[0])))
+            if 2 * (len(g.edges) + nb.bit_count()) < pairs:
+                keys.append(canonical_bits(_complement(cand)))
     reps = [_from_bits(*k) for k in sorted(keys)]
     _ENUM_CACHE[n] = reps
     return list(reps)

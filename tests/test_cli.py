@@ -144,6 +144,13 @@ def test_graph_enum_bytes_pinned(n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_graph_enum_keeps_the_census_range(capsys):
+    # enumerate_graphs goes to 8 vertices; `graph enum` stops at 7
+    for n in ("0", "8"):
+        assert run_cli(["graph", "enum", "-n", n]) == (2, "")
+        assert capsys.readouterr().err == "error: n must be between 1 and 7\n"
+
+
 def test_census_file_output(tmp_path):
     out_file = tmp_path / "table.tsv"
     code, out = run_cli(["census", "-n", "3", "-o", str(out_file)])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gpwork import catalog, graphs
+from gpwork.classify import racg_surface_subgroup
 from gpwork.graphs import (SimpleGraph, _automorphisms, _orbit_representatives,
                            _refine, are_isomorphic, canonical_bits, cliques,
                            co_contract, contract_edge,
@@ -113,6 +114,24 @@ def test_find_hole_matches_brute_force():
         for x in (h, opposite(h)):
             assert find_hole(x, 4) == oracles.brute_force_hole(x, 4)
             assert find_hole(x, 5) == oracles.brute_force_hole(x, 5)
+
+
+def test_antiholes_match_brute_force_on_the_opposite():
+    # the antihole witness is read off the complemented masks, with no
+    # opposite graph built, and must be the first hole of opposite(h)
+    rng = random.Random(23)
+    antiholes = 0
+    for g in small_graphs(7):
+        h = shuffled(g, rng)
+        for x in (h, opposite(h)):
+            hole = oracles.brute_force_hole(x, 5)
+            anti = oracles.brute_force_hole(opposite(x), 5)
+            want = (("hole", hole) if hole is not None
+                    else ("antihole", anti) if anti is not None else None)
+            assert is_weakly_chordal(x) == (want is None, want)
+            assert racg_surface_subgroup(x).witness == want
+            antiholes += hole is None and anti is not None
+    assert antiholes >= 20
 
 
 def test_find_hole_examples():
@@ -236,25 +255,84 @@ def test_enumerate_graphs_counts():
         assert got == want, n
 
 
-def test_enumeration_runs_one_canonical_search_per_candidate(monkeypatch):
+def test_enumeration_runs_one_canonical_search_per_class(monkeypatch):
     # from an empty cache, for n and every smaller n it builds on: one search
-    # per candidate, and one for the opposite of each new class with fewer
-    # than C(n,2) / 2 edges
-    calls = []
-    real = graphs._canonical
+    # per accepted candidate and one per opposite, so one per class, plus one
+    # per candidate that passes the degree and color checks but not the
+    # orbit test (no kept order ends in its new vertex)
+    calls, opposites = [], []
+    real, real_key = graphs._canonical, graphs._key
 
-    def counting(masks):
-        calls.append(masks)
-        return real(masks)
+    def counting(masks, colors):
+        orders = real(masks, colors)
+        calls.append(bool(opposites)
+                     or any(o[-1] == len(masks) - 1 for o in orders))
+        return orders
+
+    def key(masks):
+        opposites.append(masks)
+        try:
+            return real_key(masks)
+        finally:
+            opposites.pop()
 
     monkeypatch.setattr(graphs, "_canonical", counting)
-    counts = []
+    monkeypatch.setattr(graphs, "_key", key)
+    counts, rejected = [], []
     for n in range(1, 8):
         monkeypatch.setattr(graphs, "_ENUM_CACHE", {})
         calls.clear()
         enumerate_graphs(n)
         counts.append(len(calls))
-    assert counts == [0, 2, 7, 24, 92, 442, 3512]
+        rejected.append(calls.count(False))
+        classes = sum(len(enumerate_graphs(k)) for k in range(2, n + 1))
+        assert counts[-1] == classes + rejected[-1], n
+    assert counts == [0, 2, 6, 17, 51, 207, 1252]
+    assert rejected == [0, 0, 0, 0, 0, 0, 1]
+
+
+def test_augmentation_accepts_exactly_one_orbit():
+    # put each vertex of g last in turn, as the new vertex of the candidate
+    # from the parent left by deleting it: enumerate_graphs must accept
+    # exactly the vertices of one Aut(g) orbit
+    rng = random.Random(29)
+    cases = [shuffled(g, rng) for g in small_graphs(6) if len(g) > 1]
+    cases = [(h, oracles.brute_force_automorphisms(h)) for h in cases]
+    cases += [(h, _automorphisms(h.masks)) for h in
+              (shuffled(g, rng) for g in enumerate_graphs(7)[::4])]
+    for g, auts in cases:
+        n, masks = len(g), g.masks
+        accepted = set()
+        for v in range(n):
+            order = [u for u in range(n) if u != v] + [v]
+            cand = [sum(1 << j for j, u in enumerate(order)
+                        if masks[w] >> u & 1) for w in order]
+            parent = SimpleGraph(range(n - 1), [
+                (i, j) for i, j in itertools.combinations(range(n - 1), 2)
+                if cand[i] >> j & 1])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphs, "_ENUM_CACHE", {n - 1: [parent]})
+                mp.setattr(graphs, "_orbit_representatives",
+                           lambda masks, room, nb=cand[-1]: [nb])
+                got = enumerate_graphs(n)
+            if got:
+                assert canonical_bits(g) in map(canonical_bits, got)
+                accepted.add(v)
+        assert accepted == {perm[min(accepted)] for perm in auts}, \
+            write_edgelist(g)
+
+
+def test_enumerate_graphs_reaches_eight_vertices():
+    graphs8 = enumerate_graphs(8)
+    assert len(graphs8) == 12346  # OEIS A000088
+    half = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646]
+    got = [0] * 29
+    for g in graphs8:
+        got[len(g.edges)] += 1
+    assert got == half + half[-2::-1]  # OEIS A008406
+    for n in (0, 9):
+        with pytest.raises(ValueError, match="between 1 and 8"):
+            enumerate_graphs(n)
 
 
 def test_mutating_an_enumeration_leaves_the_next_one_alone(monkeypatch):
