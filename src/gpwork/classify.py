@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import catalog
-from .graphs import (_complement, _hole, are_isomorphic, enumerate_graphs,
-                     find_hole, has_induced, induced_subgraph, opposite,
-                     write_graph6)
+from .graphs import (are_isomorphic, enumerate_graphs, find_hole, has_induced,
+                     induced_subgraph, opposite, write_graph6)
 from .words import GroupSpec
 from .complexes import build_z0, euler_characteristic, is_closed_surface
 from .embeddings import co_contraction_embedding, relator_check
@@ -55,7 +54,7 @@ def _racg(g, hole):
     """racg_surface_subgroup, given g's first hole of length >= 5."""
     if hole is not None:
         return Classification(YES, ("hole", hole))
-    anti = _hole(g.vertices, _complement(g.masks), 5)  # a hole of opposite(g)
+    anti = find_hole(opposite(g), 5)
     if anti is not None:
         return Classification(YES, ("antihole", anti))
     if len(g.vertices) <= 7:  # the dichotomy holds up to 7 vertices

@@ -4,15 +4,16 @@ Graphs are immutable.  The stored vertex order is part of the value: it fixes
 tie-breaking for witnesses, canonical forms and text output, but isomorphism
 tests ignore it.
 
-The search routines (holes, cliques, induced patterns, isomorphism, canonical
-forms, enumeration) run on `SimpleGraph.masks`, one adjacency bitmask per
-vertex.  Vertices are colored by iterated neighbor-degree refinement
-(`_refine`).
+A graph's value is its vertex order and `masks`, one adjacency bitmask per
+vertex; `_graph` builds derived graphs from masks without the constructor's
+checks.  The search routines (holes, cliques, induced patterns, isomorphism,
+canonical forms, enumeration) run on the masks.  Vertices are colored by
+iterated neighbor-degree refinement (`_refine`).
 The canonical form (`canonical_bits`) is the least graph6-order bit string
 (`_bits`) over the relabelings that list the color classes in color order.
 Isomorphism maps and automorphism groups come from one backtracking search
-(`_bijections`).  Holes and antiholes come from one walk (`_hole`), an
-antihole's on the complemented masks (`_complement`).
+(`_bijections`).  An opposite graph's masks are one complement
+(`_complement`), so an antihole is a hole (`find_hole`) of the opposite.
 """
 
 from __future__ import annotations
@@ -25,43 +26,35 @@ from itertools import combinations
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """A finite simple graph: ordered vertex labels and a set of unordered edges."""
+    """A finite simple graph: ordered vertex labels and one adjacency bitmask
+    per vertex, bit j of masks[i] set when vertices i and j are adjacent."""
 
     vertices: tuple
-    edges: frozenset
+    masks: tuple
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        vset = set(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        masks = _masks(len(vertices), [_edge(index, tuple(e)) for e in edges])
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges",
-                           frozenset([_edge(vset, tuple(e)) for e in edges]))
+        object.__setattr__(self, "masks", masks)
 
     @cached_property
     def index(self):
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adj(self):
-        nbrs = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    def edges(self):
+        """The edges as frozensets of their two endpoints."""
+        return frozenset(map(frozenset, self.sorted_edges()))
 
     @cached_property
-    def masks(self):
-        """Bit j of masks[i] is set when vertices i and j are adjacent."""
-        ix = self.index
-        out = [0] * len(self.vertices)
-        for e in self.edges:
-            u, v = (ix[w] for w in e)
-            out[u] |= 1 << v
-            out[v] |= 1 << u
-        return tuple(out)
+    def adj(self):
+        vs = self.vertices
+        return {v: frozenset(vs[j] for j in _members(m))
+                for v, m in zip(vs, self.masks)}
 
     def __len__(self):
         return len(self.vertices)
@@ -71,29 +64,41 @@ class SimpleGraph:
 
     def sorted_edges(self):
         """Edges as pairs ordered by the stored vertex order."""
-        ix = self.index
-        out = []
-        for e in self.edges:
-            u, v = sorted(e, key=ix.__getitem__)
-            out.append((u, v))
-        out.sort(key=lambda p: (ix[p[0]], ix[p[1]]))
-        return out
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, m in enumerate(self.masks)
+                for j in _members(m & -(2 << i))]  # -(2 << i): bits > i
 
 
-def _edge(vertices, pair):
-    """The edge {u, v} of the pair (u, v), checked against the vertex set."""
+def _graph(vertices, masks):
+    """The graph on a vertex tuple with a tuple of adjacency masks, without
+    the constructor's checks: for the graphs the kernel builds."""
+    g = object.__new__(SimpleGraph)
+    g.__dict__.update(vertices=vertices, masks=masks)
+    return g
+
+
+def _masks(n, pairs):
+    """The adjacency masks of n vertices joined by the index pairs."""
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def _edge(index, pair):
+    """The vertex indices of the pair (u, v), checked against `index`."""
     u, v = pair
     if u == v:
         raise ValueError("self-loop at %r" % (u,))
-    if u not in vertices or v not in vertices:
+    if u not in index or v not in index:
         raise ValueError("edge %r has an unknown endpoint" % ((u, v),))
-    return frozenset(pair)
+    return index[u], index[v]
 
 
 def opposite(g):
     """Complement graph on the same ordered vertex list."""
-    edges = {frozenset(p) for p in combinations(g.vertices, 2)} - g.edges
-    return SimpleGraph(g.vertices, edges)
+    return _graph(g.vertices, _complement(g.masks))
 
 
 def induced_subgraph(g, keep):
@@ -126,7 +131,11 @@ def contract_edge(g, e):
 
 def co_contract(g, e):
     """Contract e in the opposite graph, read back through complementation."""
-    return opposite(contract_edge(opposite(g), e))
+    opp = opposite(g)
+    if frozenset(e) not in opp.edges:
+        raise ValueError("%r is not an edge of the opposite graph"
+                         % (sorted(map(str, e)),))
+    return opposite(contract_edge(opp, e))
 
 
 def double_along_link(g, t):
@@ -144,13 +153,10 @@ def double_along_link(g, t):
     verts = list(base) + [prime[v] for v in base if v not in lk]
     rho = {v: v for v in base}
     rho.update({prime[v]: v for v in base if v not in lk})
-    edges = set()
-    for e in g.edges:
-        if t in e:
-            continue
-        a, b = tuple(e)
-        edges.add(frozenset((a, b)))
-        edges.add(frozenset((prime[a], prime[b])))
+    edges = []
+    for a, b in g.sorted_edges():
+        if t not in (a, b):
+            edges += [(a, b), (prime[a], prime[b])]
     return SimpleGraph(verts, edges), rho
 
 
@@ -205,17 +211,6 @@ def _cycle(masks, s):
             return cyc if len(cyc) == s.bit_count() else None
 
 
-def _hole(vertices, masks, min_len):
-    """`find_hole` on adjacency masks, the cycle read through `vertices`."""
-    cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
-    for length in range(min_len, len(cands) + 1):
-        for _, s in _subsets(cands, length):
-            cyc = _cycle(masks, s)
-            if cyc is not None:
-                return tuple(vertices[v] for v in cyc)
-    return None
-
-
 def find_hole(g, min_len=5):
     """Shortest induced cycle of length >= min_len, lexicographically least.
 
@@ -226,7 +221,14 @@ def find_hole(g, min_len=5):
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
-    return _hole(g.vertices, g.masks, min_len)
+    masks = g.masks
+    cands = [v for v, m in enumerate(masks) if m.bit_count() >= 2]
+    for length in range(min_len, len(cands) + 1):
+        for _, s in _subsets(cands, length):
+            cyc = _cycle(masks, s)
+            if cyc is not None:
+                return tuple(g.vertices[v] for v in cyc)
+    return None
 
 
 def _complement(masks):
@@ -239,13 +241,12 @@ def is_weakly_chordal(g):
     """(verdict, witness): no hole of length >= 5 in g nor in its opposite.
 
     The witness is ('hole', cycle) or ('antihole', cycle) on failure, where an
-    antihole cycle is walked on g's complemented masks, so it is listed in the
-    cyclic order it has inside opposite(g).
+    antihole cycle is a hole of opposite(g), listed in its cyclic order there.
     """
     hole = find_hole(g, 5)
     if hole is not None:
         return False, ("hole", hole)
-    anti = _hole(g.vertices, _complement(g.masks), 5)
+    anti = find_hole(opposite(g), 5)
     return (True, None) if anti is None else (False, ("antihole", anti))
 
 
@@ -320,9 +321,9 @@ def are_isomorphic(g1, g2):
 
     Deterministic: first mapping found trying candidates in vertex order.
     """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
     m1, m2 = g1.masks, g2.masks
+    if sorted(map(int.bit_count, m1)) != sorted(map(int.bit_count, m2)):
+        return None
     c1, c2 = _refine(m1), _refine(m2)
     if sorted(c1) != sorted(c2):
         return None
@@ -414,9 +415,9 @@ def canonical_bits(g):
 
 def _from_bits(n, bits):
     """The graph on v1..vn with graph6-order adjacency bits."""
-    labels = ["v%d" % (i + 1) for i in range(n)]
-    pairs = ((labels[i], labels[j]) for j in range(1, n) for i in range(j))
-    return SimpleGraph(labels, [p for p, b in zip(pairs, bits) if b])
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return _graph(tuple("v%d" % (i + 1) for i in range(n)),
+                  _masks(n, [p for p, b in zip(pairs, bits) if b]))
 
 
 _ENUM_CACHE = {}
@@ -461,7 +462,8 @@ def enumerate_graphs(n):
     pairs = n * (n - 1) // 2
     keys = [(1, ())] if n == 1 else []
     for g in enumerate_graphs(n - 1) if n > 1 else ():
-        room = pairs // 2 - len(g.edges)
+        size = sum(map(int.bit_count, g.masks)) // 2
+        room = pairs // 2 - size
         for nb in _orbit_representatives(g.masks, room):
             cand = tuple(m | (nb >> i & 1) << (n - 1)
                          for i, m in enumerate(g.masks)) + (nb,)
@@ -474,7 +476,7 @@ def enumerate_graphs(n):
             if all(order[-1] < n - 1 for order in orders):
                 continue
             keys.append((n, _bits(cand, orders[0])))
-            if 2 * (len(g.edges) + nb.bit_count()) < pairs:
+            if 2 * (size + nb.bit_count()) < pairs:
                 keys.append(canonical_bits(_complement(cand)))
     reps = [_from_bits(*k) for k in sorted(keys)]
     _ENUM_CACHE[n] = reps
@@ -592,7 +594,7 @@ def graph_from_lines(lines):
             if len(fields) != 2:
                 raise ValueError("malformed edge line")
             edges.append(_edge(g.index, fields))
-    return SimpleGraph(g.vertices, edges)
+    return _graph(g.vertices, _masks(len(g), edges))
 
 
 def read_edgelist(text):

@@ -64,10 +64,7 @@ class GroupSpec:
     def noncommuting(self):
         """Per vertex index, the indices of the other vertices it does not
         commute with."""
-        g = self.graph
-        return tuple(tuple(j for j, u in enumerate(g.vertices)
-                           if u != v and u not in g.adj[v])
-                     for v in g.vertices)
+        return tuple(map(graphs._members, graphs._complement(self.graph.masks)))
 
     @cached_property
     def finite_part(self):

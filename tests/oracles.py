@@ -14,15 +14,13 @@ from gpwork.words import (INF, GroupSpec, Word, identity, invert, multiply,
                           normalize)
 
 
-def shuffle_closure_normal_form(spec, syllables):
-    """ShortLex-least reduced word equivalent to the input, by exhaustive
-    closure under the elementary moves: delete a zero syllable, merge two
-    adjacent syllables on the same vertex, swap two adjacent syllables on
-    commuting vertices."""
+def shuffle_closure(spec, word):
+    """Every word reached from a word of reduced syllables by the elementary
+    moves: delete a zero syllable, merge two adjacent syllables on the same
+    vertex, swap two adjacent syllables on commuting vertices."""
     adj = spec.graph.adj
-    start = tuple((v, spec.reduce_exp(v, e)) for v, e in syllables)
-    seen = {start}
-    queue = [start]
+    seen = {word}
+    queue = [word]
     while queue:
         w = queue.pop()
         for i in range(len(w)):
@@ -41,14 +39,42 @@ def shuffle_closure_normal_form(spec, syllables):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+    return seen
+
+
+def least_reduced_word(spec, words):
+    """The ShortLex-least of the words with no zero syllable."""
     best = None
-    for w in seen:
+    for w in words:
         if any(e == 0 for _, e in w):
             continue
         key = (len(w), [(spec.graph.index[v], e < 0, abs(e)) for v, e in w])
         if best is None or key < best[0]:
             best = (key, w)
     return best[1]
+
+
+_LEAST = {}  # {spec: {word: its closure's least reduced word}}, one spec
+
+
+def shuffle_closure_normal_form(spec, syllables):
+    """ShortLex-least reduced word equivalent to the input: the least reduced
+    word of its `shuffle_closure`.
+
+    Memoized exactly, for the last spec asked about: deleting and merging
+    shorten a word and swaps can be undone, so every word of the closure
+    with the input's length is reached by swaps alone and has the same
+    closure.  The least word is stored for all of them."""
+    word = tuple((v, spec.reduce_exp(v, e)) for v, e in syllables)
+    if spec not in _LEAST:
+        _LEAST.clear()
+        _LEAST[spec] = {}
+    memo = _LEAST[spec]
+    if word not in memo:
+        closure = shuffle_closure(spec, word)
+        least = least_reduced_word(spec, closure)
+        memo.update((w, least) for w in closure if len(w) == len(word))
+    return memo[word]
 
 
 def normal_form_error(spec, syllables):
@@ -202,6 +228,33 @@ def commuting_shuffle(spec, syllables, rng, swaps):
         if s[i + 1][0] in adj[s[i][0]]:
             s[i], s[i + 1] = s[i + 1], s[i]
     return s
+
+
+def edge_list_views(vertices, edges):
+    """(masks, edges, adj, sorted edges) of the graph on a vertex order and an
+    edge list, each read off the edge list directly."""
+    index = {v: i for i, v in enumerate(vertices)}
+    edge_set = frozenset(map(frozenset, edges))
+    adj = {v: frozenset(u for e in edge_set if v in e for u in e - {v})
+           for v in vertices}
+    masks = tuple(sum(1 << index[u] for u in adj[v]) for v in vertices)
+    pairs = sorted((tuple(sorted(e, key=index.get)) for e in edge_set),
+                   key=lambda p: (index[p[0]], index[p[1]]))
+    return masks, edge_set, adj, pairs
+
+
+def pairwise_opposite(g):
+    """The complement graph: every vertex pair that is not an edge of g."""
+    pairs = {frozenset(p) for p in combinations(g.vertices, 2)}
+    return SimpleGraph(g.vertices, pairs - g.edges)
+
+
+def adjacency_scan_noncommuting(graph):
+    """Per vertex index, the indices of the other vertices not adjacent to
+    it, scanned off the adjacency sets."""
+    return tuple(tuple(j for j, u in enumerate(graph.vertices)
+                       if u != v and u not in graph.adj[v])
+                 for v in graph.vertices)
 
 
 def brute_force_hole(g, min_len):

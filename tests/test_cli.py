@@ -151,6 +151,15 @@ def test_graph_enum_keeps_the_census_range(capsys):
         assert capsys.readouterr().err == "error: n must be between 1 and 7\n"
 
 
+def test_cocontract_rejects_an_edge_of_the_graph(capsys):
+    # {v1, v2} is an edge of C5, so not one of the opposite graph
+    for cmd in ("graph", "embed"):
+        assert run_cli([cmd, "cocontract", "--name", "C5",
+                        "--edge", "v1,v2"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: ['v1', 'v2'] is not an edge of the opposite graph\n")
+
+
 def test_census_file_output(tmp_path):
     out_file = tmp_path / "table.tsv"
     code, out = run_cli(["census", "-n", "3", "-o", str(out_file)])

@@ -13,8 +13,15 @@ from gpwork.graphs import (SimpleGraph, _automorphisms, _orbit_representatives,
                            has_induced, induced_subgraph,
                            is_weakly_chordal, opposite, read_edgelist,
                            read_graph6, write_edgelist, write_graph6)
+from gpwork.words import GroupSpec
 
 import oracles
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 
 def small_graphs(max_n=5):
@@ -76,6 +83,46 @@ def test_opposite_is_involution():
         assert len(g.edges) + len(opposite(g).edges) == n * (n - 1) // 2
 
 
+if HAVE_HYPOTHESIS:
+    def reordered_classes(rng):
+        """(vertices, edges) of every graph on at most 6 vertices, the stored
+        vertex order and the edge list shuffled by rng."""
+        for g in small_graphs(6):
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            edges = [tuple(e) for e in g.edges]
+            rng.shuffle(edges)
+            yield tuple(verts), edges
+
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_mask_graph_reads_like_the_edge_constructor(rng):
+        for verts, edges in reordered_classes(rng):
+            masks, edge_set, adj, pairs = oracles.edge_list_views(verts, edges)
+            g, h = SimpleGraph(verts, edges), graphs._graph(verts, masks)
+            assert g == h and hash(g) == hash(h)
+            for x in (g, h):
+                assert x.masks == masks and x.edges == edge_set
+                assert x.adj == adj and x.sorted_edges() == pairs
+                assert x.index == {v: i for i, v in enumerate(verts)}
+
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_opposite_matches_the_pairwise_complement(rng):
+        for verts, edges in reordered_classes(rng):
+            g = SimpleGraph(verts, edges)
+            assert opposite(g) == oracles.pairwise_opposite(g)
+            assert opposite(opposite(g)) == g
+
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_noncommuting_matches_the_adjacency_scan(rng):
+        for verts, edges in reordered_classes(rng):
+            g = SimpleGraph(verts, edges)
+            assert (GroupSpec(g, 2).noncommuting
+                    == oracles.adjacency_scan_noncommuting(g))
+
+
 def test_induced_link_star():
     g = catalog.cycle(5)
     sub = induced_subgraph(g, ("v1", "v2", "v3"))
@@ -117,8 +164,8 @@ def test_find_hole_matches_brute_force():
 
 
 def test_antiholes_match_brute_force_on_the_opposite():
-    # the antihole witness is read off the complemented masks, with no
-    # opposite graph built, and must be the first hole of opposite(h)
+    # the antihole witness is the first hole of the opposite graph, built
+    # from the complemented masks; it must be the brute-force first hole
     rng = random.Random(23)
     antiholes = 0
     for g in small_graphs(7):

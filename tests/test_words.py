@@ -76,6 +76,25 @@ def all_words(spec, max_len, exp_window=1):
             yield combo
 
 
+def test_memoized_closure_oracle_matches_the_plain_closure():
+    # each word is asked about as drawn, and then shuffled by commuting
+    # swaps, which the drawn word's closure has stored
+    rng = random.Random(17)
+    shorter = 0
+    for _ in range(200):
+        spec = oracles.random_spec(rng, 4)
+        drawn = tuple((v, spec.reduce_exp(v, e)) for v, e in
+                      oracles.random_syllables(spec, rng, rng.randrange(2, 7)))
+        swapped = tuple(oracles.commuting_shuffle(spec, drawn, rng, 6))
+        for word in (drawn, swapped):
+            closure = oracles.shuffle_closure(spec, word)
+            assert (oracles.shuffle_closure_normal_form(spec, word)
+                    == oracles.least_reduced_word(spec, closure))
+            assert swapped in oracles._LEAST[spec]
+            shorter += min(map(len, closure)) < len(word)
+    assert shorter >= 100
+
+
 def test_normalize_matches_shuffle_closure_small_exhaustive():
     g = SimpleGraph(("a", "b", "c"), [("a", "b")])
     for orders in ({"a": 2, "b": 3, "c": 2}, {"a": INF, "b": 2, "c": INF}):
