@@ -103,21 +103,26 @@ def relator_check(h):
 
     Relators: v^m for each finite-order source vertex, and the commutator
     [u, w] for each source edge, with its inverse syllables reduced as a
-    Word reduces them.  A relator passes when piling its image leaves no
-    syllable; only failures are read out.  Returns (ok, failures) where each
+    Word reduces them.  The images pile onto one set of piles: a relator
+    passes when its image piles down to no syllable, which leaves the piles
+    empty for the next one; a failure is read out and named, and the next
+    relator starts on fresh piles.  Returns (ok, failures) where each
     failure is (description, image normal form).
     """
     src, tgt = h.source, h.target
-    relators = [("%s^%d" % (v, m), ((v, 1),) * m)
+    relators = [("%s^%d", (v, m), ((v, 1),) * m)
                 for v, m in src.orders if m is not INF]
-    relators += [("[%s,%s]" % (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
-                                       (w, src.reduce_exp(w, -1))))
+    relators += [("[%s,%s]", (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
+                                      (w, src.reduce_exp(w, -1))))
                  for u, w in src.graph.sorted_edges()]
     failures = []
-    for text, rel in relators:
-        piles, count = _pile(tgt, h._image_syllables(rel))
+    piles = None
+    for text, args, rel in relators:
+        piles, count = _pile(tgt, h._image_syllables(rel), piles)
         if count:
-            failures.append((text, format_word(_readout(tgt, piles, count))))
+            failures.append((text % args,
+                             format_word(_readout(tgt, piles, count))))
+            piles = None
     return (not failures), failures
 
 

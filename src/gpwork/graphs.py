@@ -5,10 +5,12 @@ tie-breaking for witnesses, canonical forms and text output, but isomorphism
 tests ignore it.
 
 A graph's value is its vertex order and `masks`, one adjacency bitmask per
-vertex; `_graph` builds derived graphs from masks without the constructor's
-checks.  The search routines (holes, cliques, induced patterns, isomorphism,
-canonical forms, enumeration) run on the masks.  Vertices are colored by
-iterated neighbor-degree refinement (`_refine`).
+vertex; `_graph` builds derived graphs (opposites, contractions and
+co-contractions, doubles, decoded classes) from masks without the
+constructor's checks, so a new vertex label is checked free where it is
+made (`_fresh`).  The search routines (holes, cliques, induced patterns,
+isomorphism, canonical forms, enumeration) run on the masks.  Vertices are
+colored by iterated neighbor-degree refinement (`_refine`).
 The canonical form (`canonical_bits`) is the least graph6-order bit string
 (`_bits`) over the relabelings that list the color classes in color order.
 Isomorphism maps and automorphism groups come from one backtracking search
@@ -114,50 +116,82 @@ def induced_subgraph(g, keep):
 
 def contract_edge(g, e):
     """Simple contraction of edge e; the merged vertex is labeled 'u*v'."""
-    e = frozenset(e)
-    if e not in g.edges:
-        raise ValueError("%r is not an edge" % (sorted(map(str, e)),))
-    u, v = sorted(e, key=g.index.__getitem__)
-    merged = "%s*%s" % (u, v)
-    verts = [merged if w == u else w for w in g.vertices if w != v]
-    edges = set()
-    for a, b in (tuple(edge) for edge in g.edges):
-        a2 = merged if a in (u, v) else a
-        b2 = merged if b in (u, v) else b
-        if a2 != b2:
-            edges.add(frozenset((a2, b2)))
-    return SimpleGraph(verts, edges)
+    return _merge(g, e, False)
 
 
 def co_contract(g, e):
-    """Contract e in the opposite graph, read back through complementation."""
-    opp = opposite(g)
-    if frozenset(e) not in opp.edges:
-        raise ValueError("%r is not an edge of the opposite graph"
-                         % (sorted(map(str, e)),))
-    return opposite(contract_edge(opp, e))
+    """Contract e in the opposite graph, read back through complementation:
+    the merged vertex 'u*v' is joined to the common neighbors of u and v."""
+    return _merge(g, e, True)
+
+
+def _merge(g, e, co):
+    """g with the vertices of the pair e merged into the earlier one,
+    relabeled 'u*v', and the later one dropped.  The pair must be an edge of
+    g, or of its opposite when co is true; the merged vertex is joined to
+    the union of the two neighborhoods, or to their intersection when co is
+    true."""
+    ends = frozenset(e)
+    index, masks = g.index, g.masks
+    pair = (sorted(map(index.get, ends))
+            if len(ends) == 2 and ends <= index.keys() else None)
+    if pair is None or (masks[pair[0]] >> pair[1] & 1) == co:
+        # a co-contraction names the pair as given, repeats included
+        raise ValueError("%r is not an edge%s" % (
+            sorted(map(str, e if co else ends)),
+            " of the opposite graph" if co else ""))
+    i, j = pair
+    verts = g.vertices
+    merged = _fresh(index, "%s*%s" % (verts[i], verts[j]))
+    nbrs = (masks[i] & masks[j] if co else masks[i] | masks[j]) & ~(1 << i | 1 << j)
+    out = [nbrs if k == i else m & ~(1 << i) | (nbrs >> k & 1) << i
+           for k, m in enumerate(masks)]
+    del out[j]
+    return _graph(verts[:i] + (merged,) + verts[i + 1:j] + verts[j + 1:],
+                  tuple(_drop(m, j) for m in out))
+
+
+def _drop(mask, i):
+    """mask with bit i taken out and the bits above it moved down one."""
+    return mask & (1 << i) - 1 | mask >> i + 1 << i
+
+
+def _fresh(taken, label):
+    """label, when it is not among the taken vertex labels."""
+    if label in taken:
+        raise ValueError("the new vertex label %r is taken" % (label,))
+    return label
 
 
 def double_along_link(g, t):
     """Double of g minus the open star of t along the link of t.
 
     Returns (double, rho) where rho maps every vertex of the double to the
-    original vertex of g it copies.  Second-copy vertices outside lk(t) get
-    primed labels.
+    original vertex of g it copies.  The first copy is g minus t, in g's
+    order; the second-copy vertices outside lk(t) follow it with primed
+    labels, and each edge of g that misses t gives one edge in each copy.
     """
-    if t not in g.adj:
+    if t not in g.index:
         raise ValueError("unknown vertex %r" % (t,))
-    lk = g.adj[t]
-    base = [v for v in g.vertices if v != t]
-    prime = {v: v if v in lk else "%s'" % (v,) for v in base}
-    verts = list(base) + [prime[v] for v in base if v not in lk]
-    rho = {v: v for v in base}
-    rho.update({prime[v]: v for v in base if v not in lk})
-    edges = []
-    for a, b in g.sorted_edges():
-        if t not in (a, b):
-            edges += [(a, b), (prime[a], prime[b])]
-    return SimpleGraph(verts, edges), rho
+    k = g.index[t]
+    # g minus t: its vertices, masks and the link of t
+    verts = g.vertices[:k] + g.vertices[k + 1:]
+    masks = [_drop(m, k) for m in g.masks[:k] + g.masks[k + 1:]]
+    lk = _drop(g.masks[k], k)
+    outside = [i for i in range(len(verts)) if not lk >> i & 1]
+    primes = [_fresh(verts, "%s'" % (verts[i],)) for i in outside]
+    copy = list(range(len(verts)))  # the index of each vertex's second copy
+    for p, i in enumerate(outside, len(verts)):
+        copy[i] = p
+
+    def second(m):
+        return sum(1 << copy[i] for i in _members(m))
+
+    masks = ([m | second(m) if lk >> i & 1 else m for i, m in enumerate(masks)]
+             + [second(masks[i]) for i in outside])
+    rho = {v: v for v in verts}
+    rho.update(zip(primes, (verts[i] for i in outside)))
+    return _graph(verts + tuple(primes), tuple(masks)), rho
 
 
 @lru_cache(maxsize=1 << 12)

@@ -9,9 +9,10 @@ from itertools import combinations, permutations, product
 
 from gpwork.complexes import LinkComplex
 from gpwork.graphs import (SimpleGraph, _from_bits, canonical_bits,
-                           induced_subgraph, read_graph6, write_graph6)
-from gpwork.words import (INF, GroupSpec, Word, identity, invert, multiply,
-                          normalize)
+                           induced_subgraph, opposite, read_graph6,
+                           write_graph6)
+from gpwork.words import (INF, GroupSpec, Word, _pile, _readout, format_word,
+                          identity, invert, multiply, normalize)
 
 
 def shuffle_closure(spec, word):
@@ -247,6 +248,70 @@ def pairwise_opposite(g):
     """The complement graph: every vertex pair that is not an edge of g."""
     pairs = {frozenset(p) for p in combinations(g.vertices, 2)}
     return SimpleGraph(g.vertices, pairs - g.edges)
+
+
+def edge_set_contract_edge(g, e):
+    """Simple contraction of edge e, read off the edge set: the merged
+    vertex, labeled 'u*v', takes the later endpoint's edges."""
+    e = frozenset(e)
+    if e not in g.edges:
+        raise ValueError("%r is not an edge" % (sorted(map(str, e)),))
+    u, v = sorted(e, key=g.index.__getitem__)
+    merged = "%s*%s" % (u, v)
+    verts = [merged if w == u else w for w in g.vertices if w != v]
+    edges = set()
+    for a, b in (tuple(edge) for edge in g.edges):
+        a2 = merged if a in (u, v) else a
+        b2 = merged if b in (u, v) else b
+        if a2 != b2:
+            edges.add(frozenset((a2, b2)))
+    return SimpleGraph(verts, edges)
+
+
+def round_trip_co_contract(g, e):
+    """Co-contraction as the contraction of e in the opposite graph, read
+    back through complementation."""
+    opp = opposite(g)
+    if frozenset(e) not in opp.edges:
+        raise ValueError("%r is not an edge of the opposite graph"
+                         % (sorted(map(str, e)),))
+    return opposite(edge_set_contract_edge(opp, e))
+
+
+def edge_set_double_along_link(g, t):
+    """(double, rho) of g minus the open star of t along lk(t), from the
+    edge list: each edge that misses t is laid down once in each copy, and
+    the second copies of the vertices outside lk(t) get primed labels."""
+    if t not in g.adj:
+        raise ValueError("unknown vertex %r" % (t,))
+    lk = g.adj[t]
+    base = [v for v in g.vertices if v != t]
+    prime = {v: v if v in lk else "%s'" % (v,) for v in base}
+    verts = list(base) + [prime[v] for v in base if v not in lk]
+    rho = {v: v for v in base}
+    rho.update({prime[v]: v for v in base if v not in lk})
+    edges = []
+    for a, b in g.sorted_edges():
+        if t not in (a, b):
+            edges += [(a, b), (prime[a], prime[b])]
+    return SimpleGraph(verts, edges), rho
+
+
+def fresh_piles_relator_check(h):
+    """relator_check with every relator's image piled onto fresh piles and
+    every relator named before it is checked."""
+    src, tgt = h.source, h.target
+    relators = [("%s^%d" % (v, m), ((v, 1),) * m)
+                for v, m in src.orders if m is not INF]
+    relators += [("[%s,%s]" % (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
+                                       (w, src.reduce_exp(w, -1))))
+                 for u, w in src.graph.sorted_edges()]
+    failures = []
+    for text, rel in relators:
+        piles, count = _pile(tgt, h._image_syllables(rel))
+        if count:
+            failures.append((text, format_word(_readout(tgt, piles, count))))
+    return (not failures), failures
 
 
 def adjacency_scan_noncommuting(graph):

@@ -160,6 +160,20 @@ def test_cocontract_rejects_an_edge_of_the_graph(capsys):
             "error: ['v1', 'v2'] is not an edge of the opposite graph\n")
 
 
+@pytest.mark.parametrize("argv, text, label", [
+    (["graph", "contract", "--edge", "a,b"], "n 3 a b a*b\ne a b\n", "'a*b'"),
+    (["graph", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "'a*b'"),
+    (["embed", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "'a*b'"),
+    (["graph", "double", "-t", "b"], "n 3 a b a'\n", "\"a'\""),
+    (["embed", "double", "-t", "b"], "n 3 a b a'\n", "\"a'\""),
+], ids=("contract", "cocontract", "embed-cocontract", "double", "embed-double"))
+def test_new_vertex_labels_must_be_free(capsys, argv, text, label):
+    # the merged vertex a*b and the second copy a' of a are already vertices
+    assert run_cli(argv + ["--file", "-"], stdin_text=text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the new vertex label %s is taken\n" % label)
+
+
 def test_census_file_output(tmp_path):
     out_file = tmp_path / "table.tsv"
     code, out = run_cli(["census", "-n", "3", "-o", str(out_file)])

@@ -170,6 +170,39 @@ def test_relator_check_reduces_source_exponents_before_imaging():
                                         ("[v1,v2]", "y z y^2 z^-1")])
 
 
+def test_relator_check_matches_fresh_piles():
+    # every doubling and co-contraction with orders 2 on the graphs of 2 to 6
+    # vertices, each in a shuffled stored order
+    rng = random.Random(19)
+    maps = []
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            g = SimpleGraph(verts, g.edges)
+            maps += [double_homomorphism(g, t, 2) for t in verts]
+            maps += [co_contraction_embedding(g, e, 2)
+                     for e in opposite(g).sorted_edges()]
+    assert len(maps) == 2546
+    # the C6 fixtures: one passes its relators, one breaks a commutator
+    h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), 2)
+    for rename in (lambda v: v.split("*")[0], lambda v: "v4" if "*" in v else v):
+        maps.append(HomomorphismSpec(h.source, h.target, [
+            (v, Word(h.target, ((rename(v), 1),))) for v in h.source.graph.vertices]))
+    # a failure before a passing relator and two more after it, so that the
+    # piles after a failure are reset
+    src = GroupSpec(SimpleGraph(("x", "z", "w"), [("x", "z"), ("z", "w")]),
+                    {"x": 3, "z": 2, "w": INF})
+    tgt = GroupSpec(SimpleGraph(("y", "z", "u"), [("y", "z")]),
+                    {"y": INF, "z": 2, "u": INF})
+    maps.append(HomomorphismSpec(src, tgt, [(v, Word(tgt, ((u, 1),)))
+                                            for v, u in zip("xzw", "yzu")]))
+    for h in maps:
+        assert relator_check(h) == oracles.fresh_piles_relator_check(h)
+    assert relator_check(maps[-1]) == (False, [
+        ("x^3", "y^3"), ("[x,z]", "y^3"), ("[z,w]", "z u z u^-1")])
+
+
 def test_injectivity_on_c6_co_contraction_inf_at_5():
     h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), INF)
     assert len(enumerate_elements(h.source, 5)) == 39563

@@ -154,6 +154,49 @@ def test_double_along_link_path5():
     assert dbl.adjacent("d", "e") and dbl.adjacent("d", "e'")
 
 
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_derived_graphs_match_the_edge_set_oracles():
+    # every graph on at most 6 vertices in a shuffled stored order: every
+    # vertex pair, a loop, an unknown vertex and a triple contracted both
+    # ways, and every vertex doubled
+    rng = random.Random(19)
+    for g in small_graphs(6):
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        g = SimpleGraph(verts, g.edges)
+        pairs = list(itertools.combinations(verts, 2))
+        pairs += [(verts[0], verts[0]), (verts[0], "nosuch"), tuple(verts[:3])]
+        for fn, oracle in ((contract_edge, oracles.edge_set_contract_edge),
+                           (co_contract, oracles.round_trip_co_contract)):
+            for e in pairs:
+                got, want = outcome(fn, g, e), outcome(oracle, g, e)
+                assert got == want
+                if not isinstance(got, str):
+                    assert got.vertices == want.vertices
+                    assert got.masks == want.masks and got.edges == want.edges
+        for t in verts + ["nosuch"]:
+            got, want = (outcome(double_along_link, g, t),
+                         outcome(oracles.edge_set_double_along_link, g, t))
+            assert got == want
+            if not isinstance(got, str):
+                assert got[0].masks == want[0].masks
+                assert got[0].edges == want[0].edges
+
+
+def test_a_prime_may_take_the_label_of_t():
+    # t is not a vertex of its double, so its label is free there (the CLI
+    # tests pin the refusal of a taken label)
+    dbl, rho = double_along_link(SimpleGraph(("a", "a'"), []), "a'")
+    assert dbl.vertices == ("a", "a'") and rho == {"a": "a", "a'": "a"}
+
+
 def test_find_hole_matches_brute_force():
     rng = random.Random(5)
     for g in small_graphs(7):
