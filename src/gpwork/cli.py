@@ -14,10 +14,6 @@ import sys
 from . import catalog, classify, complexes, embeddings, graphs, words
 
 
-class UsageError(Exception):
-    pass
-
-
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
@@ -30,12 +26,12 @@ def _load_graph(args):
         try:
             return catalog.by_name(args.name)
         except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
+            raise ValueError(exc.args[0]) from None
     if getattr(args, "g6", None):
         return graphs.read_graph6(args.g6)
     if getattr(args, "file", None):
         return graphs.read_edgelist(_read_text(args.file))
-    raise UsageError("give a graph via --name, --g6 or --file")
+    raise ValueError("give a graph via --name, --g6 or --file")
 
 
 def _parse_orders(text):
@@ -51,7 +47,17 @@ def _parse_orders(text):
             orders[v] = words.parse_order(ms)
         return orders
     except ValueError as exc:
-        raise UsageError("--orders: %s" % (exc,)) from None
+        raise ValueError("--orders: %s" % (exc,)) from None
+
+
+def _edge(args, missing):
+    """The two vertex names of --edge; `missing` is the error without it."""
+    if not args.edge:
+        raise ValueError(missing)
+    ends = args.edge.split(",")
+    if len(ends) != 2:
+        raise ValueError("--edge takes 2 vertices, got %d" % len(ends))
+    return ends
 
 
 def _load_spec(args):
@@ -75,7 +81,7 @@ def cmd_graph(args, out):
     op = args.op
     if op == "enum":
         if not 1 <= args.n <= 7:  # the census range
-            raise UsageError("n must be between 1 and 7")
+            raise ValueError("n must be between 1 and 7")
         for g in graphs.enumerate_graphs(args.n):
             out.write(graphs.write_graph6(g) + "\n")
         return 0
@@ -85,19 +91,18 @@ def cmd_graph(args, out):
         return 0
     if op == "induced":
         if not args.verts:
-            raise UsageError("induced needs --verts")
+            raise ValueError("induced needs --verts")
         out.write(graphs.write_edgelist(
             graphs.induced_subgraph(g, args.verts.split(","))))
         return 0
     if op in ("contract", "cocontract"):
-        if not args.edge:
-            raise UsageError("%s needs --edge u,v" % op)
         fn = graphs.contract_edge if op == "contract" else graphs.co_contract
-        out.write(graphs.write_edgelist(fn(g, args.edge.split(","))))
+        out.write(graphs.write_edgelist(
+            fn(g, _edge(args, "%s needs --edge u,v" % op))))
         return 0
     if op == "double":
         if not args.t:
-            raise UsageError("double needs -t")
+            raise ValueError("double needs -t")
         dbl, rho = graphs.double_along_link(g, args.t)
         out.write(graphs.write_edgelist(dbl))
         for u in dbl.vertices:
@@ -118,7 +123,7 @@ def cmd_graph(args, out):
         return 1
     # iso
     if not args.other:
-        raise UsageError("iso needs --other (name or file)")
+        raise ValueError("iso needs --other (name or file)")
     try:
         g2 = catalog.by_name(args.other)
     except KeyError:
@@ -138,12 +143,12 @@ def cmd_word(args, out):
     op = args.op
     arity = 2 if op in ("mul", "eq") else 1
     if len(args.words) != arity:
-        raise UsageError("%s takes %s, got %d" % (
+        raise ValueError("%s takes %s, got %d" % (
             op, "two words" if arity == 2 else "one word", len(args.words)))
     ws = [words.parse_word(spec, t) for t in args.words]
     if op == "proj":
         if not args.vertex:
-            raise UsageError("proj needs -v VERTEX")
+            raise ValueError("proj needs -v VERTEX")
         out.write("%d\n" % words.project(ws[0], args.vertex))
         return 0
     if op in ("normalize", "mul", "inv"):
@@ -162,7 +167,7 @@ def _build_complex(args, zf):
     """build_zf with cyclic size -q (default 3) when zf, else build_z0 with
     --window; the option of the other builder is refused."""
     if (args.window if zf else args.q) is not None:
-        raise UsageError("%s does not apply to a %s complex" % (
+        raise ValueError("%s does not apply to a %s complex" % (
             ("--window", "build-zf") if zf else ("-q", "build-z0")))
     spec = _load_spec(args)
     if zf:
@@ -175,7 +180,7 @@ def _load_complex(args):
     by build_zf when -q is given, else by build_z0."""
     if args.complex_file or not (args.spec or args.name or args.file or args.g6):
         if args.q is not None or args.window is not None:
-            raise UsageError("-q and --window build a complex from a graph "
+            raise ValueError("-q and --window build a complex from a graph "
                              "or spec, not from a complex file")
         return complexes.parse_complex(_read_text(args.complex_file or "-"))
     return _build_complex(args, args.q is not None)
@@ -231,14 +236,13 @@ def cmd_embed(args, out):
         orders = _parse_orders(args.orders or "2")
         if op == "double":
             if not args.t:
-                raise UsageError("embed double needs -t")
+                raise ValueError("embed double needs -t")
             h = embeddings.double_homomorphism(g, args.t, orders,
                                               mirror=args.mirror)
         else:
-            if not args.edge:
-                raise UsageError("embed cocontract needs --edge x,t")
-            h = embeddings.co_contraction_embedding(g, args.edge.split(","),
-                                                    orders, mirror=args.mirror)
+            e = _edge(args, "embed cocontract needs --edge x,t")
+            h = embeddings.co_contraction_embedding(g, e, orders,
+                                                    mirror=args.mirror)
         out.write(embeddings.format_homomorphism(h))
         if args.verify and not _write_relators(h, out):
             return 1
@@ -246,7 +250,7 @@ def cmd_embed(args, out):
             return 1
         return 0
     if not (args.source_spec and args.target_spec and args.hom):
-        raise UsageError("%s needs --source-spec, --target-spec and --hom" % op)
+        raise ValueError("%s needs --source-spec, --target-spec and --hom" % op)
     src = words.parse_spec(_read_text(args.source_spec))
     tgt = words.parse_spec(_read_text(args.target_spec))
     h = embeddings.parse_homomorphism(src, tgt, _read_text(args.hom))
@@ -361,7 +365,7 @@ def main(argv=None):
     out = io.StringIO()
     try:
         code = handler(args, out)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     sys.stdout.write(out.getvalue())

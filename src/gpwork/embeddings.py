@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import co_contract, double_along_link, lines_by_vertex, read_lines
+from .graphs import _merge, double_along_link, lines_by_vertex, read_lines
 from .words import (GroupSpec, INF, _ball, _normal_form, _pile, _readout,
                     _word, normalize, parse_word, format_word)
 from .words import multiply  # noqa: F401  bound here for perfbench's tracer test
@@ -62,40 +62,35 @@ def double_homomorphism(g, t, orders, mirror=False):
     """Embedding of the graph product over the double of g minus st(t) along
     lk(t) into the graph product over g.
 
-    First-copy generators map to themselves; a second-copy generator u' maps
-    to t u t^-1 (or t^-1 u t with mirror=True).  Orders pull back along the
+    First-copy generators map to themselves; the second copy of u maps to
+    t u t^-1 (or t^-1 u t with mirror=True).  Orders pull back along the
     copy projection.
     """
-    tgt = GroupSpec(g, orders)
-    dbl, rho = double_along_link(g, t)
-    src = GroupSpec(dbl, {u: tgt.order[rho[u]] for u in dbl.vertices})
-    images = [(u, _word(tgt, ((u, 1),)) if u == rho[u]
-               else _conjugate(tgt, t, rho[u], mirror)) for u in dbl.vertices]
-    return HomomorphismSpec(src, tgt, images)
+    return _copy_map(GroupSpec(g, orders), *double_along_link(g, t), t, mirror)
 
 
 def co_contraction_embedding(g, e, orders, mirror=False):
-    """Embedding induced by co-contracting the opposite-graph edge e = {x, t}.
+    """Embedding induced by co-contracting the opposite-graph edge e = {x, t},
+    where x is the earlier endpoint in g's vertex order and t the later.
 
-    The contracted vertex y inherits the order of x and maps to t x t^-1; all
-    other generators map to themselves.
+    The contracted vertex x*t inherits the order of x and maps to t x t^-1;
+    all other generators map to themselves.
     """
-    e = frozenset(e)
-    src_graph = co_contract(g, e)
-    tgt = GroupSpec(g, orders)
-    x, t = sorted(e, key=g.index.__getitem__)
-    y = "%s*%s" % (x, t)
-    src = GroupSpec(src_graph, {v: tgt.order[x if v == y else v]
-                                for v in src_graph.vertices})
-    images = [(v, _conjugate(tgt, t, x, mirror) if v == y
-               else _word(tgt, ((v, 1),))) for v in src_graph.vertices]
-    return HomomorphismSpec(src, tgt, images)
+    src_graph, rho = _merge(g, e, True)
+    (t,) = g.index.keys() - rho.values()  # the endpoint nothing copies
+    return _copy_map(GroupSpec(g, orders), src_graph, rho, t, mirror)
 
 
-def _conjugate(tgt, t, x, mirror):
-    """t x t^-1, or t^-1 x t with mirror, in normal form."""
+def _copy_map(tgt, src_graph, rho, t, mirror):
+    """The map into tgt from the graph product over src_graph, whose vertex u
+    copies rho[u]: u goes to itself when rho[u] is u, else to t rho[u] t^-1
+    (t^-1 rho[u] t with mirror).  Orders pull back along rho."""
+    src = GroupSpec(src_graph, {u: tgt.order[rho[u]] for u in src_graph.vertices})
     s = -1 if mirror else 1
-    return _normal_form(tgt, ((t, s), (x, 1), (t, -s)))
+    images = [(u, _word(tgt, ((u, 1),)) if u == rho[u]
+               else _normal_form(tgt, ((t, s), (rho[u], 1), (t, -s))))
+              for u in src_graph.vertices]
+    return HomomorphismSpec(src, tgt, images)
 
 
 def relator_check(h):

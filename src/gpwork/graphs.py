@@ -7,8 +7,8 @@ tests ignore it.
 A graph's value is its vertex order and `masks`, one adjacency bitmask per
 vertex; `_graph` builds derived graphs (opposites, contractions and
 co-contractions, doubles, decoded classes) from masks without the
-constructor's checks, so a new vertex label is checked free where it is
-made (`_fresh`).  The search routines (holes, cliques, induced patterns,
+constructor's checks: `_merge` refuses a taken label, `double_along_link`
+primes one until free.  The search routines (holes, cliques, induced patterns,
 isomorphism, canonical forms, enumeration) run on the masks.  Vertices are
 colored by iterated neighbor-degree refinement (`_refine`).
 The canonical form (`canonical_bits`) is the least graph6-order bit string
@@ -116,21 +116,20 @@ def induced_subgraph(g, keep):
 
 def contract_edge(g, e):
     """Simple contraction of edge e; the merged vertex is labeled 'u*v'."""
-    return _merge(g, e, False)
+    return _merge(g, e, False)[0]
 
 
 def co_contract(g, e):
     """Contract e in the opposite graph, read back through complementation:
     the merged vertex 'u*v' is joined to the common neighbors of u and v."""
-    return _merge(g, e, True)
+    return _merge(g, e, True)[0]
 
 
 def _merge(g, e, co):
-    """g with the vertices of the pair e merged into the earlier one,
-    relabeled 'u*v', and the later one dropped.  The pair must be an edge of
-    g, or of its opposite when co is true; the merged vertex is joined to
-    the union of the two neighborhoods, or to their intersection when co is
-    true."""
+    """(g with the pair e merged, rho).  e is an edge of g, or of its opposite
+    when co is true; its earlier vertex u becomes 'u*v', joined to the union
+    of the two neighborhoods (their intersection when co is true), the later
+    is dropped, and rho maps each vertex to the one of g it copies."""
     ends = frozenset(e)
     index, masks = g.index, g.masks
     pair = (sorted(map(index.get, ends))
@@ -142,13 +141,16 @@ def _merge(g, e, co):
             " of the opposite graph" if co else ""))
     i, j = pair
     verts = g.vertices
-    merged = _fresh(index, "%s*%s" % (verts[i], verts[j]))
+    merged = "%s*%s" % (verts[i], verts[j])
+    if merged in index:
+        raise ValueError("the new vertex label %r is taken" % (merged,))
     nbrs = (masks[i] & masks[j] if co else masks[i] | masks[j]) & ~(1 << i | 1 << j)
     out = [nbrs if k == i else m & ~(1 << i) | (nbrs >> k & 1) << i
            for k, m in enumerate(masks)]
     del out[j]
-    return _graph(verts[:i] + (merged,) + verts[i + 1:j] + verts[j + 1:],
-                  tuple(_drop(m, j) for m in out))
+    rho = dict(zip(verts[:i] + (merged,) + verts[i + 1:j] + verts[j + 1:],
+                   verts[:j] + verts[j + 1:]))
+    return _graph(tuple(rho), tuple(_drop(m, j) for m in out)), rho
 
 
 def _drop(mask, i):
@@ -156,20 +158,16 @@ def _drop(mask, i):
     return mask & (1 << i) - 1 | mask >> i + 1 << i
 
 
-def _fresh(taken, label):
-    """label, when it is not among the taken vertex labels."""
-    if label in taken:
-        raise ValueError("the new vertex label %r is taken" % (label,))
-    return label
-
-
 def double_along_link(g, t):
     """Double of g minus the open star of t along the link of t.
 
     Returns (double, rho) where rho maps every vertex of the double to the
     original vertex of g it copies.  The first copy is g minus t, in g's
-    order; the second-copy vertices outside lk(t) follow it with primed
-    labels, and each edge of g that misses t gives one edge in each copy.
+    order; the second copies of the vertices outside lk(t) follow it, and
+    each edge of g that misses t gives one edge in each copy.  The copy of v
+    is v with primes added until the label is neither in g minus t nor an
+    earlier copy's: `n 3 a b a'` doubled at b gives a'' and a''' for a and
+    a', so rho, not the label, is the record of what each copy copies.
     """
     if t not in g.index:
         raise ValueError("unknown vertex %r" % (t,))
@@ -179,19 +177,22 @@ def double_along_link(g, t):
     masks = [_drop(m, k) for m in g.masks[:k] + g.masks[k + 1:]]
     lk = _drop(g.masks[k], k)
     outside = [i for i in range(len(verts)) if not lk >> i & 1]
-    primes = [_fresh(verts, "%s'" % (verts[i],)) for i in outside]
-    copy = list(range(len(verts)))  # the index of each vertex's second copy
-    for p, i in enumerate(outside, len(verts)):
-        copy[i] = p
+    # the double's labels, and the index of each vertex's second copy
+    labels, copy = list(verts), list(range(len(verts)))
+    for i in outside:
+        label = "%s'" % (verts[i],)
+        while label in labels:
+            label += "'"
+        copy[i] = len(labels)
+        labels.append(label)
 
     def second(m):
         return sum(1 << copy[i] for i in _members(m))
 
     masks = ([m | second(m) if lk >> i & 1 else m for i, m in enumerate(masks)]
              + [second(masks[i]) for i in outside])
-    rho = {v: v for v in verts}
-    rho.update(zip(primes, (verts[i] for i in outside)))
-    return _graph(verts + tuple(primes), tuple(masks)), rho
+    rho = dict(zip(labels, verts + tuple(verts[i] for i in outside)))
+    return _graph(tuple(labels), tuple(masks)), rho
 
 
 @lru_cache(maxsize=1 << 12)

@@ -152,26 +152,56 @@ def test_graph_enum_keeps_the_census_range(capsys):
 
 
 def test_cocontract_rejects_an_edge_of_the_graph(capsys):
-    # {v1, v2} is an edge of C5, so not one of the opposite graph
+    # {v1, v2} is an edge of C5, so not one of the opposite graph, and a
+    # repeated endpoint is named as given by both commands
     for cmd in ("graph", "embed"):
-        assert run_cli([cmd, "cocontract", "--name", "C5",
-                        "--edge", "v1,v2"]) == (2, "")
-        assert capsys.readouterr().err == (
-            "error: ['v1', 'v2'] is not an edge of the opposite graph\n")
+        for edge in ("v1,v2", "v1,v1"):
+            assert run_cli([cmd, "cocontract", "--name", "C5",
+                            "--edge", edge]) == (2, "")
+            assert capsys.readouterr().err == (
+                "error: %s is not an edge of the opposite graph\n"
+                % (edge.split(","),))
 
 
-@pytest.mark.parametrize("argv, text, label", [
-    (["graph", "contract", "--edge", "a,b"], "n 3 a b a*b\ne a b\n", "'a*b'"),
-    (["graph", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "'a*b'"),
-    (["embed", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "'a*b'"),
-    (["graph", "double", "-t", "b"], "n 3 a b a'\n", "\"a'\""),
-    (["embed", "double", "-t", "b"], "n 3 a b a'\n", "\"a'\""),
-], ids=("contract", "cocontract", "embed-cocontract", "double", "embed-double"))
-def test_new_vertex_labels_must_be_free(capsys, argv, text, label):
-    # the merged vertex a*b and the second copy a' of a are already vertices
-    assert run_cli(argv + ["--file", "-"], stdin_text=text) == (2, "")
+def test_embed_error_precedence(capsys):
+    # a double reports a bad order before a bad -t; a co-contraction reports
+    # a bad edge before a bad order
+    assert run_cli(["embed", "double", "--name", "C5", "-t", "zz",
+                    "--orders", "v1=2"]) == (2, "")
+    assert capsys.readouterr().err == "error: vertex 'v2' has no order\n"
+    assert run_cli(["embed", "cocontract", "--name", "C5", "--edge", "v1,v2",
+                    "--orders", "v1=2"]) == (2, "")
     assert capsys.readouterr().err == (
-        "error: the new vertex label %s is taken\n" % label)
+        "error: ['v1', 'v2'] is not an edge of the opposite graph\n")
+
+
+@pytest.mark.parametrize("argv", [["graph", "contract"], ["graph", "cocontract"],
+                                  ["embed", "cocontract"]],
+                         ids=("contract", "cocontract", "embed-cocontract"))
+def test_edge_names_exactly_two_vertices(capsys, argv):
+    for edge, n in (("v1,v3,v3", 3), ("v1,v2,v1", 3), ("v1", 1)):
+        assert run_cli(argv + ["--name", "C5", "--edge", edge]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --edge takes 2 vertices, got %d\n" % n)
+
+
+TAKEN = "error: the new vertex label 'a*b' is taken\n"
+
+
+@pytest.mark.parametrize("argv, text, out, err", [
+    (["graph", "contract", "--edge", "a,b"], "n 3 a b a*b\ne a b\n", "", TAKEN),
+    (["graph", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "", TAKEN),
+    (["embed", "cocontract", "--edge", "a,b"], "n 3 a b a*b\n", "", TAKEN),
+    (["graph", "double", "-t", "b"], "n 3 a b a'\n",
+     "n 4 a a' a'' a'''\nrho a a\nrho a' a'\nrho a'' a\nrho a''' a'\n", ""),
+    (["embed", "double", "-t", "b"], "n 3 a b a'\n",
+     "im a a\nim a' a'\nim a'' b a b\nim a''' b a' b\n", ""),
+], ids=("contract", "cocontract", "embed-cocontract", "double", "embed-double"))
+def test_new_vertex_labels_must_be_free(capsys, argv, text, out, err):
+    # the merged vertex a*b is already a vertex, so it is refused; the second
+    # copies of a and a' take primes until free, a'' and a''' (rho says which)
+    assert run_cli(argv + ["--file", "-"], stdin_text=text) == (2 if err else 0, out)
+    assert capsys.readouterr().err == err
 
 
 def test_census_file_output(tmp_path):

@@ -7,7 +7,8 @@ from gpwork.embeddings import (HomomorphismSpec, co_contraction_embedding,
                                double_homomorphism, format_homomorphism,
                                injectivity_sample, parse_homomorphism,
                                relator_check)
-from gpwork.graphs import SimpleGraph, enumerate_graphs, opposite
+from gpwork.graphs import (SimpleGraph, _merge, double_along_link,
+                           enumerate_graphs, opposite)
 from gpwork.words import (GroupSpec, INF, Word, enumerate_elements, equal,
                           identity, invert, multiply)
 
@@ -168,6 +169,31 @@ def test_relator_check_reduces_source_exponents_before_imaging():
                                     ("v2", Word(tgt, (("z", 1),)))])
     assert relator_check(h) == (False, [("v1^3", "y^3"),
                                         ("[v1,v2]", "y z y^2 z^-1")])
+
+
+CATALOG = (["C%d" % m for m in range(3, 13)] + ["P%d" % m for m in range(2, 9)]
+           + ["Lambda%d" % i for i in range(1, 8)]
+           + ["Phi%d" % i for i in range(1, 6)] + ["P1_7", "P2_7", "Fig8"])
+
+
+def test_every_catalog_double_and_co_contraction_certifies():
+    # the 64 catalog names: a double at every vertex (Phi2-Phi5, P1_7, P2_7
+    # and Fig8 have primed labels) and a co-contraction of every opposite edge
+    built = 0
+    for name in CATALOG + [b + "opp" for b in CATALOG]:
+        g = catalog.by_name(name)
+        maps = [(double_along_link(g, t), double_homomorphism(g, t, 2))
+                for t in g.vertices]
+        maps += [(_merge(g, e, True), co_contraction_embedding(g, e, 2))
+                 for e in opposite(g).sorted_edges()]
+        for (src, rho), h in maps:
+            assert h.source.graph == src
+            assert relator_check(h) == (True, [])
+            # rho, the copy map, sends every source edge to an edge of g
+            assert all(frozenset((rho[u], rho[v])) in g.edges
+                       for u, v in src.sorted_edges())
+        built += len(maps)
+    assert built == 1214
 
 
 def test_relator_check_matches_fresh_piles():
