@@ -32,9 +32,8 @@ def path(n):
 def _p6_plus(t_neighbors):
     """P_6 on a..f together with an extra vertex t joined to `t_neighbors`."""
     p6 = path(6)
-    verts = p6.vertices + ("t",)
-    edges = set(p6.edges) | {frozenset((x, "t")) for x in t_neighbors}
-    return SimpleGraph(verts, edges)
+    return SimpleGraph(p6.vertices + ("t",),
+                       p6.sorted_edges() + [(x, "t") for x in t_neighbors])
 
 
 # t-neighborhoods (inside the drawn opposite graphs) for Lambda_1..Lambda_11.
@@ -63,7 +62,7 @@ def phi_opp(i):
     """The drawn graph Phi_i^opp, 1 <= i <= 5."""
     if i == 1:
         p7 = path(7)
-        return SimpleGraph(p7.vertices + ("t",), set(p7.edges) | {frozenset("dt")})
+        return SimpleGraph(p7.vertices + ("t",), p7.sorted_edges() + [("d", "t")])
     if i == 2:
         verts = ("a", "b", "c", "d", "e", "f", "g", "d'")
         edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
@@ -116,7 +115,7 @@ def fig8_opp():
     vertex attached to each path vertex."""
     p6 = path(6)
     verts = list(p6.vertices) + ["%s'" % v for v in p6.vertices]
-    edges = set(p6.edges) | {frozenset((v, "%s'" % v)) for v in p6.vertices}
+    edges = p6.sorted_edges() + [(v, "%s'" % v) for v in p6.vertices]
     return SimpleGraph(verts, edges)
 
 

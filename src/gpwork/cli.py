@@ -21,7 +21,20 @@ def _read_text(path):
         return fh.read()
 
 
+def _exclusive(options):
+    """Refuse more than one of the given inputs `options`."""
+    if len(options) > 1:
+        raise ValueError("%s and %s cannot be used together" % (
+            ", ".join(options[:-1]), options[-1]))
+
+
+def _given(args, *options):
+    """The options among `options` that the command line gives."""
+    return [o for o in options if getattr(args, o.lstrip("-"), None)]
+
+
 def _load_graph(args):
+    _exclusive(_given(args, "--name", "--g6", "--file"))
     if getattr(args, "name", None):
         try:
             return catalog.by_name(args.name)
@@ -62,6 +75,8 @@ def _edge(args, missing):
 
 def _load_spec(args):
     if args.spec:
+        _exclusive(["--spec"] + _given(args, "--name", "--g6", "--file",
+                                       "--orders"))
         return words.parse_spec(_read_text(args.spec))
     return words.GroupSpec(_load_graph(args), _parse_orders(args.orders or "2"))
 
@@ -178,10 +193,12 @@ def _build_complex(args, zf):
 def _load_complex(args):
     """The complex file (default stdin), or one built from a graph or spec:
     by build_zf when -q is given, else by build_z0."""
-    if args.complex_file or not (args.spec or args.name or args.file or args.g6):
+    sources = _given(args, "--spec", "--name", "--g6", "--file")
+    if args.complex_file or not sources:
         if args.q is not None or args.window is not None:
             raise ValueError("-q and --window build a complex from a graph "
                              "or spec, not from a complex file")
+        _exclusive(["a complex file"] + sources + _given(args, "--orders"))
         return complexes.parse_complex(_read_text(args.complex_file or "-"))
     return _build_complex(args, args.q is not None)
 

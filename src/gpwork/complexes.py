@@ -182,11 +182,20 @@ class LinkComplex:
     """Simplicial complex on signed directions, closed under faces.
 
     Vertices are tuples (direction, sign) -- or (direction, sign, copy) for
-    hand-built fixtures where several link vertices share a label.
+    hand-built fixtures where several link vertices share a label.  The flag,
+    cycle and special checks read one `skeleton`, built once from masks.
     """
 
     verts: frozenset
     simplices: frozenset  # frozensets of verts; includes all faces
+
+    @cached_property
+    def skeleton(self):
+        """The 1-skeleton, on the vertices in `str` order."""
+        verts = tuple(sorted(self.verts, key=str))
+        index = {v: i for i, v in enumerate(verts)}  # _edge checks each end
+        return graphs._graph(verts, graphs._masks(len(verts), [
+            graphs._edge(index, tuple(s)) for s in self.simplices if len(s) == 2]))
 
 
 def _link(simplices):
@@ -233,22 +242,15 @@ def is_npc(X):
     return True, None
 
 
-def _skeleton(lk):
-    """The 1-skeleton of a link as a graph."""
-    return graphs.SimpleGraph(lk.verts, [tuple(s) for s in lk.simplices
-                                         if len(s) == 2])
-
-
 def _is_flag(lk):
     """Every clique of the link's 1-skeleton spans a simplex."""
     return all(len(c) < 3 or c in lk.simplices
-               for c in graphs.cliques(_skeleton(lk)))
+               for c in graphs.cliques(lk.skeleton))
 
 
 def _is_cycle(lk):
     """The link's 1-skeleton is one cycle through all its vertices."""
-    masks = _skeleton(lk).masks
-    return graphs._cycle(masks, (1 << len(masks)) - 1) is not None
+    return graphs._cycle(lk.skeleton.masks, (1 << len(lk.verts)) - 1) is not None
 
 
 def check_special_map(X):
@@ -268,15 +270,12 @@ def check_link_special(lk, graph, at=None):
     every link edge mapped onto a model edge ("not simplicial"), and every
     model edge between two image vertices hit by a link edge ("not full").
     Returns failure records."""
-    failures = []
-    labeled = [(lv, lv[:2]) for lv in sorted(lk.verts, key=str)]
-    seen = set()
-    for _, lab in labeled:
-        if lab in seen:
-            failures.append(("not injective", at, lab))
-        seen.add(lab)
-    for (a, la), (b, lb) in combinations(labeled, 2):
-        linked = frozenset((a, b)) in lk.simplices
+    labels = [lv[:2] for lv in lk.skeleton.vertices]
+    failures = [("not injective", at, lab) for k, lab in enumerate(labels)
+                if lab in labels[:k]]
+    masks = lk.skeleton.masks
+    for (i, la), (j, lb) in combinations(enumerate(labels), 2):
+        linked = masks[i] >> j & 1
         if linked != (la[0] in graph.adj.get(lb[0], ())):
             failures.append(("not simplicial" if linked else "not full", at,
                              (la, lb)))

@@ -5,16 +5,16 @@ tie-breaking for witnesses, canonical forms and text output, but isomorphism
 tests ignore it.
 
 A graph's value is its vertex order and `masks`, one adjacency bitmask per
-vertex; `_graph` builds derived graphs (opposites, contractions and
-co-contractions, doubles, decoded classes) from masks without the
-constructor's checks: `_merge` refuses a taken label, `double_along_link`
-primes one until free.  The search routines (holes, cliques, induced patterns,
-isomorphism, canonical forms, enumeration) run on the masks.  Vertices are
-colored by iterated neighbor-degree refinement (`_refine`).
-The canonical form (`canonical_bits`) is the least graph6-order bit string
-(`_bits`) over the relabelings that list the color classes in color order.
-Isomorphism maps and automorphism groups come from one backtracking search
-(`_bijections`).  An opposite graph's masks are one complement
+vertex.  Only outside input (`catalog`, `graph_from_lines`) goes through the
+checked constructor; `_graph` builds every derived graph from masks, induced
+subgraphs and link skeletons included: `_merge` refuses a taken label,
+`double_along_link` primes one until free.  The search routines (holes,
+cliques, induced patterns, isomorphism, canonical forms, enumeration) run on
+the masks.  Vertices are colored by iterated neighbor-degree refinement
+(`_refine`).  The canonical form (`canonical_bits`) is the least graph6-order
+bit string (`_bits`) over the relabelings that list the color classes in color
+order.  Isomorphism maps and automorphism groups come from one backtracking
+search (`_bijections`).  An opposite graph's masks are one complement
 (`_complement`), so an antihole is a hole (`find_hole`) of the opposite.
 """
 
@@ -40,8 +40,7 @@ class SimpleGraph:
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
         masks = _masks(len(vertices), [_edge(index, tuple(e)) for e in edges])
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "masks", masks)
+        self.__dict__.update(vertices=vertices, masks=masks, index=index)
 
     @cached_property
     def index(self):
@@ -106,12 +105,17 @@ def opposite(g):
 def induced_subgraph(g, keep):
     """Induced subgraph on the vertex subset `keep`, in g's vertex order."""
     keep = set(keep)
-    unknown = keep - set(g.vertices)
+    unknown = keep - g.index.keys()
     if unknown:
         raise ValueError("unknown vertices %r" % (sorted(map(str, unknown)),))
-    verts = tuple(v for v in g.vertices if v in keep)
-    edges = {e for e in g.edges if e <= keep}
-    return SimpleGraph(verts, edges)
+    subset = [i for i, v in enumerate(g.vertices) if v in keep]
+    return _graph(tuple(g.vertices[i] for i in subset), _induced(g.masks, subset))
+
+
+def _induced(masks, subset):
+    """The masks of the subgraph induced on the vertex indices `subset`."""
+    return tuple(sum(1 << b for b, w in enumerate(subset) if masks[v] >> w & 1)
+                 for v in subset)
 
 
 def contract_edge(g, e):
@@ -382,10 +386,8 @@ def has_induced(g, pattern):
     for subset, s in _subsets(range(len(masks)), k):
         if sorted((masks[v] & s).bit_count() for v in subset) != degrees:
             continue
-        sub = tuple(sum(1 << b for b, w in enumerate(subset) if masks[v] >> w & 1)
-                    for v in subset)
         key = key or _key(pattern.masks)
-        if _key(sub) == key:
+        if _key(_induced(masks, subset)) == key:
             return frozenset(g.vertices[v] for v in subset)
     return None
 

@@ -250,6 +250,17 @@ def pairwise_opposite(g):
     return SimpleGraph(g.vertices, pairs - g.edges)
 
 
+def edge_set_induced_subgraph(g, keep):
+    """Induced subgraph on the vertex subset `keep`, in g's vertex order:
+    the edges of g with both ends kept, through the checked constructor."""
+    keep = set(keep)
+    unknown = keep - set(g.vertices)
+    if unknown:
+        raise ValueError("unknown vertices %r" % (sorted(map(str, unknown)),))
+    verts = tuple(v for v in g.vertices if v in keep)
+    return SimpleGraph(verts, {e for e in g.edges if e <= keep})
+
+
 def edge_set_contract_edge(g, e):
     """Simple contraction of edge e, read off the edge set: the merged
     vertex, labeled 'u*v', takes the later endpoint's edges."""
@@ -535,6 +546,13 @@ def signing_loop_link(X, p):
                 maximal.append(frozenset(simplex))
     verts = {next(iter(s)) for s in maximal if len(s) == 1}
     return LinkComplex(frozenset(verts), face_closure(maximal))
+
+
+def edge_tuple_skeleton(lk):
+    """The 1-skeleton of a link, through the checked constructor from its
+    2-simplices as tuples."""
+    return SimpleGraph(lk.verts, [tuple(s) for s in lk.simplices
+                                  if len(s) == 2])
 
 
 def subset_is_flag(lk):

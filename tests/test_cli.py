@@ -293,6 +293,52 @@ def test_error_exit_codes(capsys):
         assert exc.value.code == 2
 
 
+def test_one_input_source_per_command(capsys, tmp_path):
+    # a second graph, spec or complex source is refused, not ignored
+    spec = fixture("fig2a.spec")
+    code, text = run_cli(["complex", "build-z0", "--name", "C5", "--orders", "2"])
+    assert code == 0
+    cx = tmp_path / "c5.cx"
+    cx.write_text(text)
+    cx = str(cx)
+    for argv, given in (
+            (["graph", "hole", "--name", "C5", "--g6", "?"], "--name and --g6"),
+            (["graph", "opp", "--g6", "?", "--file", spec], "--g6 and --file"),
+            (["graph", "wc", "--name", "C5", "--g6", "?", "--file", spec],
+             "--name, --g6 and --file"),
+            (["word", "normalize", "a b", "--spec", spec, "--name", "C5",
+              "--orders", "3"], "--spec, --name and --orders"),
+            (["word", "normalize", "a b", "--spec", spec, "--orders", "3"],
+             "--spec and --orders"),
+            (["word", "mul", "v1", "v2", "--name", "C5", "--file", spec],
+             "--name and --file"),
+            (["complex", "stats", cx, "--name", "P3"],
+             "a complex file and --name"),
+            (["complex", "stats", cx, "--orders", "3"],
+             "a complex file and --orders"),
+            (["complex", "npc", cx, "--spec", spec], "a complex file and --spec"),
+            (["complex", "stats", "--name", "C5", "--g6", "?"],
+             "--name and --g6"),
+            (["complex", "build-z0", "--spec", spec, "--g6", "?"],
+             "--spec and --g6"),
+            (["classify", "--name", "C5", "--g6", "?", "--group", "racg"],
+             "--name and --g6"),
+            (["embed", "double", "--name", "P3", "--file", spec, "-t", "b"],
+             "--name and --file")):
+        assert run_cli(argv) == (2, ""), argv
+        assert (capsys.readouterr().err
+                == "error: %s cannot be used together\n" % given)
+    # a complex read from stdin takes no --orders either
+    assert run_cli(["complex", "stats", "--orders", "3"], text) == (2, "")
+    assert (capsys.readouterr().err
+            == "error: a complex file and --orders cannot be used together\n")
+    # one source of each kind still runs
+    built = run_cli(["complex", "stats", "--name", "C5", "--orders", "2"])
+    assert built[0] == 0 and built[1].startswith("V=32 ")
+    assert run_cli(["complex", "stats", cx]) == built
+    assert run_cli(["word", "normalize", "a b", "--spec", spec]) == (0, "a b\n")
+
+
 @pytest.mark.parametrize("op, text, line", [
     ("word", "n\no a 2\n", 1),                      # no vertex count
     ("word", "n x a\no a 2\n", 1),                  # non-integer count

@@ -336,6 +336,46 @@ def test_stats_line_builds_one_link_per_point(monkeypatch):
     assert all({v[i] for v in verdicts} == {True, False} for i in range(3))
 
 
+def test_skeleton_matches_the_edge_tuple_oracle():
+    # on every link of the stats cases: the oracle's edges, on the vertices
+    # in str order, built once
+    for X in _stats_cases():
+        for p in X.vertices():
+            lk = vertex_link(X, p)
+            assert lk.skeleton is lk.skeleton
+            assert lk.skeleton.vertices == tuple(sorted(lk.verts, key=str))
+            assert lk.skeleton.edges == oracles.edge_tuple_skeleton(lk).edges
+
+
+def test_stats_line_builds_one_skeleton_per_link(monkeypatch):
+    # the flag, special and cycle checks all run on a surface (every link a
+    # cycle) and share each link's skeleton
+    X = build_zf(GroupSpec(catalog.path(2), INF), 3)  # a torus
+    built = []
+
+    def counting_graph(vertices, masks):
+        built.append(vertices)
+        return made(vertices, masks)
+
+    made = complexes.graphs._graph
+    monkeypatch.setattr(complexes.graphs, "_graph", counting_graph)
+    assert stats_line(X).endswith("npc=yes special=yes surface=yes")
+    assert len(built) == len(X.vertices())
+
+
+def test_a_link_edge_outside_its_vertices_is_a_value_error():
+    # a hand-built link whose edge names a vertex it does not list
+    lk = LinkComplex(frozenset({("a", 1)}), frozenset({
+        frozenset({("a", 1)}), frozenset({("a", 1), ("b", 1)})}))
+    with pytest.raises(ValueError) as want:
+        oracles.edge_tuple_skeleton(lk)
+    for check in (_is_flag, _is_cycle,
+                  lambda lk: check_link_special(lk, catalog.path(2))):
+        with pytest.raises(ValueError) as got:
+            check(lk)
+        assert str(got.value) == str(want.value)
+
+
 def test_duplicate_label_link_is_not_special():
     # a hand-built link where two vertices carry the same signed direction
     lk = LinkComplex(frozenset({("a", 1, 0), ("a", 1, 1)}),

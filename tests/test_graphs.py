@@ -190,6 +190,26 @@ def test_derived_graphs_match_the_edge_set_oracles():
                 assert got[0].edges == want[0].edges
 
 
+def test_induced_subgraph_matches_the_edge_set_oracle():
+    # every graph on at most 6 vertices in a shuffled stored order, kept on
+    # every vertex subset (given in reverse), alone and with unknown vertices
+    rng = random.Random(23)
+    for g in small_graphs(6):
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        g = SimpleGraph(verts, g.edges)
+        for k in range(len(verts) + 1):
+            for keep in itertools.combinations(verts, k):
+                for extra in ((), ("nosuch", 7)):
+                    given = extra + keep[::-1]
+                    got = outcome(induced_subgraph, g, given)
+                    want = outcome(oracles.edge_set_induced_subgraph, g, given)
+                    assert got == want
+                    if not isinstance(got, str):
+                        assert got.vertices == want.vertices
+                        assert got.masks == want.masks
+
+
 def test_a_prime_may_take_the_label_of_t():
     # t is not a vertex of its double, so its label is free there (the CLI
     # tests pin the refusal of a taken label)

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import gpwork.catalog
 import gpwork.classify
@@ -23,3 +25,33 @@ def test_public_functions_are_not_generators():
         and obj.__module__ == mod.__name__
         and inspect.isgeneratorfunction(obj)]
     assert generators == []
+
+
+def _uses(node_test):
+    """(module file, top-level definition) for each node of the gpwork
+    sources that node_test accepts."""
+    found = set()
+    for path in sorted(Path(gpwork.graphs.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if node_test(node):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_only_outside_input_goes_through_the_checked_constructor():
+    # the catalog's data and the text read by graph_from_lines are the only
+    # outside input; every other graph is built from masks by graphs._graph
+    calls = _uses(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "SimpleGraph"
+        or getattr(node.func, "attr", None) == "SimpleGraph"))
+    assert {c for c in calls if c[0] != "catalog.py"} == {
+        ("graphs.py", "graph_from_lines")}
+    assert any(c[0] == "catalog.py" for c in calls)
+
+
+def test_only_the_graph_class_reads_edge_sets():
+    # the kernel reads masks; `edges` stays for the tests and the benchmark
+    reads = _uses(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "edges")
+    assert reads == {("graphs.py", "SimpleGraph")}
