@@ -30,7 +30,8 @@ def _exclusive(options):
 
 def _given(args, *options):
     """The options among `options` that the command line gives."""
-    return [o for o in options if getattr(args, o.lstrip("-"), None)]
+    return [o for o in options
+            if getattr(args, o.lstrip("-").replace("-", "_"), None)]
 
 
 def _load_graph(args):
@@ -95,6 +96,7 @@ def _graph_args(p, with_orders=False):
 def cmd_graph(args, out):
     op = args.op
     if op == "enum":
+        _exclusive(["graph enum"] + _given(args, "--name", "--g6", "--file"))
         if not 1 <= args.n <= 7:  # the census range
             raise ValueError("n must be between 1 and 7")
         for g in graphs.enumerate_graphs(args.n):
@@ -206,6 +208,8 @@ def _load_complex(args):
 def cmd_complex(args, out):
     op = args.op
     if op in ("build-z0", "build-zf"):
+        if args.complex_file:
+            _exclusive(["complex " + op, "a complex file"])
         out.write(complexes.format_complex(
             _build_complex(args, op == "build-zf")))
         return 0
@@ -249,6 +253,8 @@ def _write_injectivity(h, L, out):
 def cmd_embed(args, out):
     op = args.op
     if op in ("double", "cocontract"):
+        _exclusive(["embed " + op] + _given(args, "--source-spec",
+                                            "--target-spec", "--hom"))
         g = _load_graph(args)
         orders = _parse_orders(args.orders or "2")
         if op == "double":
@@ -266,6 +272,9 @@ def cmd_embed(args, out):
         if args.inject is not None and not _write_injectivity(h, args.inject, out):
             return 1
         return 0
+    _exclusive(["embed " + op] + _given(args, "--name", "--g6", "--file",
+                                        "--orders", "-t", "--edge", "--mirror",
+                                        "--verify"))
     if not (args.source_spec and args.target_spec and args.hom):
         raise ValueError("%s needs --source-spec, --target-spec and --hom" % op)
     src = words.parse_spec(_read_text(args.source_spec))

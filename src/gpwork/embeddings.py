@@ -121,12 +121,12 @@ def relator_check(h):
     return (not failures), failures
 
 
-def injectivity_sample(h, max_len, exp_bound=1, cap=200000):
-    """Check that distinct source elements of length <= max_len (as in
-    `words.enumerate_elements`) have distinct images.  Returns (ok,
-    collision or None); the collision is the first element, in syllable
-    count then ShortLex order, whose image is that of an earlier one, with
-    that earlier one.
+def injectivity_sample(h, max_len, cap=200000):
+    """Check that distinct source elements of length <= max_len, in letters
+    (see `words._ball`), have distinct images.  Returns (ok, collision or
+    None); the collision is the first element, in syllable count then
+    ShortLex order, whose image is that of an earlier one, with that earlier
+    one.  A ball of more than cap elements raises ValueError.
 
     The ball is walked depth first: each element's image is its parent's
     target piles, copied, with the image of the appended syllable pushed on,
@@ -135,7 +135,7 @@ def injectivity_sample(h, max_len, exp_bound=1, cap=200000):
     tgt = h.target
     levels = [[] for _ in range(max_len + 1)]
     path = [[[] for _ in tgt.graph.vertices]]
-    for syls in _ball(h.source, max_len, exp_bound, cap):
+    for syls in _ball(h.source, max_len, cap):
         d = len(syls)
         if d:
             path[d:] = [[p[:] for p in path[d - 1]]]

@@ -60,9 +60,6 @@ class SimpleGraph:
     def __len__(self):
         return len(self.vertices)
 
-    def adjacent(self, u, v):
-        return frozenset((u, v)) in self.edges
-
     def sorted_edges(self):
         """Edges as pairs ordered by the stored vertex order."""
         vs = self.vertices

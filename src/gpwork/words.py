@@ -20,9 +20,9 @@ reduced as they are pushed, so the kernel's words skip Word's checks.
 a normal form exactly when it is the bottom entry of its vertex's pile, and
 the back exactly when it is the top one.
 
-`enumerate_elements` writes the ball out directly as the normal forms whose
-letter cost fits: length is additive over their syllables (Green 1990;
-Hermiller-Meier 1995).
+`_ball` writes out the ball that `embeddings.injectivity_sample` walks,
+directly as the normal forms whose length in letters fits: length is
+additive over their syllables (Green 1990; Hermiller-Meier 1995).
 """
 
 from __future__ import annotations
@@ -242,25 +242,22 @@ def cyclically_reduce(w):
         syls = _normal_form(spec, syls[:i] + syls[i + 1:] + ((v, e),)).syllables
 
 
-def _ball(spec, max_len, exp_bound, cap):
+def _ball(spec, max_len, cap):
     """The normal forms of length <= max_len as syllable tuples, in
     depth-first preorder with children in key order, so that each syllable
     count comes out in ShortLex order.  Raises once more than cap are found.
 
-    Length counts letters: syllables v^e with e nonzero, and |e| <=
-    exp_bound on an infinite-order vertex.  It is additive over the
-    syllables of a normal form: a syllable costs 1 on a finite-order vertex
-    and ceil(|e| / exp_bound) on an infinite-order one.  A normal form takes
-    a syllable on vertex u when walking left through the syllables that
-    commute with u meets neither u nor a vertex after u before it meets one
-    that does not commute with u.  As a mask: after a syllable on v, the
-    vertices not commuting with v, and those after v that commute with v
-    and were allowed before it.
+    Length counts letters: a syllable v^e costs 1 on a finite-order vertex
+    and |e| on an infinite-order one, and length is additive over the
+    syllables of a normal form.  A normal form takes a syllable on vertex u
+    when walking left through the syllables that commute with u meets
+    neither u nor a vertex after u before it meets one that does not
+    commute with u.  As a mask: after a syllable on v, the vertices not
+    commuting with v, and those after v that commute with v and were
+    allowed before it.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    if exp_bound < 1:
-        raise ValueError("exp_bound must be >= 1")
     masks = spec.graph.masks
     full = (1 << len(masks)) - 1
     # per vertex: its bit, the two mask terms above, and per remaining
@@ -268,8 +265,8 @@ def _ball(spec, max_len, exp_bound, cap):
     steps = []
     for i, (v, m) in enumerate(spec.orders):
         if m is INF:
-            by_budget = [[(((v, s * k),), -(-k // exp_bound))
-                          for s in (1, -1) for k in range(1, r * exp_bound + 1)]
+            by_budget = [[(((v, s * k),), k) for s in (1, -1)
+                          for k in range(1, r + 1)]
                          for r in range(max_len + 1)]
         else:
             by_budget = [[(((v, e),), 1) for e in range(1, m)]] * (max_len + 1)
@@ -291,20 +288,6 @@ def _ball(spec, max_len, exp_bound, cap):
                     kids += [(syls + syl, nxt, budget - cost)
                              for syl, cost in by_budget[budget]]
             stack += reversed(kids)
-
-
-def enumerate_elements(spec, max_len, exp_bound=1, cap=None):
-    """Distinct group elements of length <= max_len, each once, as canonical
-    words sorted by syllable count then ShortLex.
-
-    Length counts letters v^e with |e| <= exp_bound on infinite-order
-    vertices and any nonzero e on finite-order ones.  With a cap, a ball of
-    more than cap elements raises ValueError as soon as it is found.
-    """
-    levels = [[] for _ in range(max_len + 1)]
-    for syls in _ball(spec, max_len, exp_bound, cap):
-        levels[len(syls)].append(_word(spec, syls))
-    return [w for level in levels for w in level]
 
 
 # -- text formats ----------------------------------------------------------

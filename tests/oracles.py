@@ -101,30 +101,31 @@ def normal_form_error(spec, syllables):
     return None
 
 
-def generator_syllables(spec, exp_bound=1):
-    """All single syllables with bounded exponents; the enumeration alphabet.
+def generator_syllables(spec, exp_window=1):
+    """All single syllables with bounded exponents; with the default window,
+    the letters of the ball.
 
     Finite-order vertices contribute every nonzero exponent; infinite-order
-    vertices contribute exponents in [-exp_bound, exp_bound] minus zero.
+    vertices contribute exponents in [-exp_window, exp_window] minus zero.
     """
     out = []
     for v, m in spec.orders:
         if m is INF:
-            exps = [e for e in range(-exp_bound, exp_bound + 1) if e != 0]
+            exps = [e for e in range(-exp_window, exp_window + 1) if e != 0]
         else:
             exps = list(range(1, m))
         out.extend((v, e) for e in exps)
     return out
 
 
-def bfs_ball(spec, max_len, exp_bound=1, cap=None):
-    """The ball of enumerate_elements by breadth-first search: max_len
+def bfs_ball(spec, max_len, cap=None):
+    """The ball of words._ball by breadth-first search: max_len
     rounds of multiplying each new element by every generator syllable,
     duplicates dropped through a dict, then a sort by syllable count and
     ShortLex.  Raises as soon as more than cap elements are found."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    gens = generator_syllables(spec, exp_bound)
+    gens = generator_syllables(spec)
     seen = {(): identity(spec)}
     frontier = [identity(spec)]
     for _ in range(max_len):
@@ -349,21 +350,22 @@ def _induced_cycle_order(g, sub):
     """If the induced subgraph on sub is a single cycle, return its canonical
     vertex order (least vertex first, lesser neighbor second)."""
     sub = tuple(sub)
-    deg = {v: sum(1 for u in sub if u != v and g.adjacent(u, v)) for v in sub}
+    deg = {v: sum(1 for u in sub if u != v and frozenset((u, v)) in g.edges)
+           for v in sub}
     if any(d != 2 for d in deg.values()):
         return None
     order = sorted(sub, key=g.index.__getitem__)
     start = order[0]
-    nbrs = sorted((u for u in sub if g.adjacent(start, u)),
+    nbrs = sorted((u for u in sub if frozenset((start, u)) in g.edges),
                   key=g.index.__getitem__)
     walk = [start, nbrs[0]]
     while len(walk) < len(sub):
         cur, prev = walk[-1], walk[-2]
-        nxt = [u for u in sub if u != prev and g.adjacent(cur, u)]
+        nxt = [u for u in sub if u != prev and frozenset((cur, u)) in g.edges]
         if len(nxt) != 1 or nxt[0] in walk:
             return None  # a union of shorter cycles
         walk.append(nxt[0])
-    if not g.adjacent(walk[-1], walk[0]):
+    if frozenset((walk[-1], walk[0])) not in g.edges:
         return None
     return tuple(walk)
 
@@ -466,7 +468,7 @@ def subset_cliques(g):
     lexicographic vertex order."""
     return [frozenset(c) for k in range(len(g.vertices) + 1)
             for c in combinations(g.vertices, k)
-            if all(g.adjacent(u, v) for u, v in combinations(c, 2))]
+            if all(frozenset(e) in g.edges for e in combinations(c, 2))]
 
 
 def direct_cell_count(X):

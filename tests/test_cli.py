@@ -339,6 +339,49 @@ def test_one_input_source_per_command(capsys, tmp_path):
     assert run_cli(["word", "normalize", "a b", "--spec", spec]) == (0, "a b\n")
 
 
+def test_graph_enum_and_builders_refuse_a_source_they_never_read(capsys):
+    for argv, given in (
+            (["graph", "enum", "-n", "2", "--name", "C5", "--g6", "?"],
+             "graph enum, --name and --g6"),
+            (["graph", "enum", "-n", "2", "--file", "nosuch"],
+             "graph enum and --file"),
+            (["complex", "build-z0", "nosuch.cx", "--name", "P2"],
+             "complex build-z0 and a complex file"),
+            (["complex", "build-zf", "nosuch.cx", "--name", "P2"],
+             "complex build-zf and a complex file")):
+        assert run_cli(argv) == (2, ""), argv
+        assert (capsys.readouterr().err
+                == "error: %s cannot be used together\n" % given)
+
+
+def test_embed_reads_a_graph_or_three_files_not_both(capsys, tmp_path):
+    free2 = fixture("free2.spec")
+    hom = tmp_path / "id.hom"
+    hom.write_text("im a a\nim b b\n")
+    files = ["--source-spec", free2, "--target-spec", free2, "--hom", str(hom)]
+    for argv, given in (
+            (["embed", "verify"] + files + ["--name", "C5", "--g6", "?",
+                                            "--orders", "3", "-t", "a"],
+             "embed verify, --name, --g6, --orders and -t"),
+            (["embed", "inject-sample"] + files + ["--file", "nosuch", "-L", "1"],
+             "embed inject-sample and --file"),
+            (["embed", "verify"] + files + ["--edge", "a,b", "--mirror",
+                                            "--verify"],
+             "embed verify, --edge, --mirror and --verify"),
+            (["embed", "double", "--name", "C5", "-t", "v1", "--edge", "v1,v3",
+              "--source-spec", "x"], "embed double and --source-spec"),
+            (["embed", "cocontract", "--name", "C6", "--edge", "v1,v3",
+              "--target-spec", "x", "--hom", "y"],
+             "embed cocontract, --target-spec and --hom")):
+        assert run_cli(argv) == (2, ""), argv
+        assert (capsys.readouterr().err
+                == "error: %s cannot be used together\n" % given)
+    # one source of each kind still runs
+    assert run_cli(["embed", "verify"] + files) == (0, "relators: PASS\n")
+    assert run_cli(["embed", "inject-sample"] + files + ["-L", "1"]) == (
+        0, "injectivity(L=1): PASS\n")
+
+
 @pytest.mark.parametrize("op, text, line", [
     ("word", "n\no a 2\n", 1),                      # no vertex count
     ("word", "n x a\no a 2\n", 1),                  # non-integer count

@@ -5,10 +5,10 @@ import pytest
 
 from gpwork import catalog
 from gpwork.graphs import SimpleGraph, opposite
-from gpwork.words import (GroupSpec, INF, Word, cyclically_reduce, enumerate_elements,
-                          equal, format_spec, format_word, identity,
-                          in_kernel_kp0, in_kernel_kpf, invert, multiply,
-                          normalize, parse_spec, parse_word, project)
+from gpwork.words import (GroupSpec, INF, Word, _ball, cyclically_reduce, equal,
+                          format_spec, format_word, identity, in_kernel_kp0,
+                          in_kernel_kpf, invert, multiply, normalize,
+                          parse_spec, parse_word, project)
 
 import oracles
 
@@ -210,40 +210,33 @@ def test_long_words_against_linear_checker(n):
 def test_enumerate_elements_counts():
     # Z2 x Z2 on an edge: four elements in total
     spec = GroupSpec(SimpleGraph(("a", "b"), [("a", "b")]), 2)
-    assert len(enumerate_elements(spec, 10)) == 4
+    assert len(list(_ball(spec, 10, None))) == 4
     # infinite dihedral on two isolated vertices: 2n+1 elements up to length n
     spec = GroupSpec(SimpleGraph(("a", "b"), []), 2)
     for n in range(5):
-        assert len(enumerate_elements(spec, n)) == 2 * n + 1
+        assert len(list(_ball(spec, n, None))) == 2 * n + 1
     # free product Z3 * Z4: counts follow the alternating-syllable recursion
     spec = GroupSpec(SimpleGraph(("a", "b"), []), {"a": 3, "b": 4})
-    got = [len(enumerate_elements(spec, n)) for n in range(4)]
+    got = [len(list(_ball(spec, n, None))) for n in range(4)]
     # length n words alternate vertices: 2,3 exponent choices per syllable
     assert got == [1, 1 + 5, 1 + 5 + 2 * 3 + 3 * 2, 1 + 5 + 12 + 2 * 3 * 2 + 3 * 2 * 3]
 
 
 def test_enumerate_elements_sorted_and_distinct():
     spec = example_spec()
-    ball = enumerate_elements(spec, 3)
-    keys = [(len(w), w.syllables) for w in ball]
-    assert len({w.syllables for w in ball}) == len(ball)
+    ball = sorted(_ball(spec, 3, None), key=len)
+    assert len(set(ball)) == len(ball)
     assert [len(w) for w in ball] == sorted(len(w) for w in ball)
 
 
-def test_enumerate_elements_refuses_exp_bound_below_one():
-    for b in (0, -1):
-        with pytest.raises(ValueError, match="exp_bound"):
-            enumerate_elements(example_spec(), 2, exp_bound=b)
-
-
 def test_enumerate_elements_cap_at_ball_size():
-    for spec, max_len, b in ((example_spec(), 3, 2),
-                             (GroupSpec(catalog.cycle(5), 2), 4, 1)):
-        n = len(oracles.bfs_ball(spec, max_len, b))
-        for ball in (enumerate_elements, oracles.bfs_ball):
-            assert len(ball(spec, max_len, b, cap=n)) == n
+    for spec, max_len in ((example_spec(), 3),
+                          (GroupSpec(catalog.cycle(5), 2), 4)):
+        n = len(oracles.bfs_ball(spec, max_len))
+        for ball in (lambda *a: list(_ball(*a)), oracles.bfs_ball):
+            assert len(ball(spec, max_len, n)) == n
             with pytest.raises(ValueError, match="cap of %d " % (n - 1)):
-                ball(spec, max_len, b, cap=n - 1)
+                ball(spec, max_len, n - 1)
 
 
 def test_parse_format_roundtrip():
@@ -304,21 +297,20 @@ if HAVE_HYPOTHESIS:
                 shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
         assert normalize(Word(spec, shuffled)).syllables == base
 
-    @given(st.randoms(use_true_random=False), st.integers(1, 3),
-           st.integers(0, 4))
+    @given(st.randoms(use_true_random=False), st.integers(0, 4))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    def test_enumerate_elements_matches_bfs_oracle(rng, exp_bound, max_len):
+    def test_enumerate_elements_matches_bfs_oracle(rng, max_len):
         # the same words in the same order, or the same cap error
         spec = oracles.random_spec(rng, 6)
 
         def run(ball):
             try:
-                return [w.syllables for w in ball(spec, max_len, exp_bound,
-                                                  cap=400)]
+                return ball()
             except ValueError as e:
                 return str(e)
 
-        assert run(enumerate_elements) == run(oracles.bfs_ball)
+        assert run(lambda: sorted(_ball(spec, max_len, 400), key=len)) == run(
+            lambda: [w.syllables for w in oracles.bfs_ball(spec, max_len, 400)])
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
