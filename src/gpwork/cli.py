@@ -182,14 +182,19 @@ def cmd_word(args, out):
 
 def _build_complex(args, zf):
     """build_zf with cyclic size -q (default 3) when zf, else build_z0 with
-    --window; the option of the other builder is refused."""
+    --window; the option of the other builder is refused, and so is either
+    one on a spec with no infinite-order vertex, as it sizes nothing."""
     if (args.window if zf else args.q) is not None:
         raise ValueError("%s does not apply to a %s complex" % (
             ("--window", "build-zf") if zf else ("-q", "build-z0")))
     spec = _load_spec(args)
-    if zf:
-        return complexes.build_zf(spec, 3 if args.q is None else args.q)
-    return complexes.build_z0(spec, args.window)
+    option, size = ("-q", args.q) if zf else ("--window", args.window)
+    X = (complexes.build_zf(spec, 3 if size is None else size) if zf
+         else complexes.build_z0(spec, size))
+    if size is not None and all(m is not words.INF for _, m in spec.orders):
+        raise ValueError("%s sizes only infinite-order axes, and the spec "
+                         "has none" % option)
+    return X
 
 
 def _load_complex(args):

@@ -9,6 +9,13 @@ set, closed under faces once, are supported as negative fixtures for the
 curvature and specialness checks.  Specialness is read off the graph: the
 link of the one-vertex model complex joins two signed directions exactly
 when the directions are adjacent.
+
+A box link depends on its point only through the signs each axis has room
+for, and flipping a one-sign axis is an isomorphism of links, so its
+verdicts depend only on the number of signs per axis: its room class.
+`stats_line` builds one link per room class, at most 2^n for n axes at any
+window or cyclic size; `is_npc`, `check_special_map` and
+`is_closed_surface` build one at every point.
 """
 
 from __future__ import annotations
@@ -295,15 +302,30 @@ def is_closed_surface(X):
                                             for p in X.vertices())
 
 
+def _room_classes(X):
+    """One point per room class of a box complex: per axis, 0 on a cyclic
+    axis (two signs), the bottom of an interval of one or two points (none
+    or one), and the bottom and the next point of a longer one (one, two).
+    Every vertex of an explicit complex."""
+    if X.explicit_cubes is not None:
+        return X.vertices()
+    return product(*((0,) if r[0] == "cyclic" else
+                     (r[1], r[1] + 1) if r[2] - r[1] > 1 else (r[1],)
+                     for r in map(X.box.by_vertex.get, X.dirs)))
+
+
 def stats_line(X):
     """Deterministic one-line report used by the command-line front end.
-    Each vertex link is built once and feeds the flag, special and cycle
-    checks; the cycle check runs only on a pure 2-dimensional complex and
-    stops at the first link that fails it."""
+    One vertex link per room class is built, without listing the points,
+    and feeds the flag, special and cycle checks; the cycle check runs only
+    on a pure 2-dimensional complex and stops at the first link that fails
+    it.  The cell counts are a closed form, so a box complex costs the same
+    at any window or cyclic size.  `is_npc`, `check_special_map` and
+    `is_closed_surface` still build a link at every point."""
     counts = cell_counts(X)
     npc = special = True
     surface = _pure_2d(counts)
-    for p in X.vertices():
+    for p in _room_classes(X):
         lk = vertex_link(X, p)
         npc = npc and _is_flag(lk)
         special = special and not check_link_special(lk, X.spec.graph, at=p)

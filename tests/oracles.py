@@ -7,7 +7,9 @@ subset scans whose correctness is obvious, at the price of speed.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from gpwork.complexes import LinkComplex
+from gpwork.complexes import (LinkComplex, _is_cycle, _is_flag, _pure_2d,
+                              cell_counts, check_link_special,
+                              euler_characteristic, vertex_link)
 from gpwork.graphs import (SimpleGraph, _from_bits, canonical_bits,
                            induced_subgraph, opposite, read_graph6,
                            write_graph6)
@@ -548,6 +550,36 @@ def signing_loop_link(X, p):
                 maximal.append(frozenset(simplex))
     verts = {next(iter(s)) for s in maximal if len(s) == 1}
     return LinkComplex(frozenset(verts), face_closure(maximal))
+
+
+def sign_counts(X, p):
+    """Per axis of a box complex, the number of signs with room at p: two on
+    a cyclic axis, and on an interval one for each side with a point."""
+    return tuple(2 if r[0] == "cyclic" else (c > r[1]) + (c < r[2])
+                 for c, r in zip(p, map(X.box.by_vertex.get, X.dirs)))
+
+
+def room_classes(X):
+    """The distinct `sign_counts` over every point of a box complex."""
+    return {sign_counts(X, p) for p in X.vertices()}
+
+
+def per_point_stats_line(X):
+    """The stats line with one vertex link built at every point, each
+    feeding the flag, special and cycle checks."""
+    counts = cell_counts(X)
+    npc = special = True
+    surface = _pure_2d(counts)
+    for p in X.vertices():
+        lk = vertex_link(X, p)
+        npc = npc and _is_flag(lk)
+        special = special and not check_link_special(lk, X.spec.graph, at=p)
+        surface = surface and _is_cycle(lk)
+    return ("V=%d E=%d F=%d C3=%d chi=%d npc=%s special=%s surface=%s"
+            % (counts.get(0, 0), counts.get(1, 0), counts.get(2, 0),
+               counts.get(3, 0), euler_characteristic(X),
+               "yes" if npc else "no", "yes" if special else "no",
+               "yes" if surface else "no"))
 
 
 def edge_tuple_skeleton(lk):

@@ -284,13 +284,33 @@ def test_error_exit_codes(capsys):
               "--window", "2"], "--window does not apply to a build-zf complex"),
             (["complex", "stats", fixture("fig2a.spec"), "-q", "3"],
              "-q and --window build a complex from a graph or spec, not from "
-             "a complex file")):
+             "a complex file"),
+            # both size only infinite-order axes
+            (["complex", "stats", "--name", "P3", "--orders", "2",
+              "--window", "7"],
+             "--window sizes only infinite-order axes, and the spec has none"),
+            (["complex", "stats", "--name", "P3", "--orders", "2", "-q", "9"],
+             "-q sizes only infinite-order axes, and the spec has none"),
+            (["complex", "build-z0", "--name", "P3", "--orders", "a=2,b=3,c=4",
+              "--window", "0"],
+             "--window sizes only infinite-order axes, and the spec has none"),
+            (["complex", "surface", "--name", "C4", "--orders", "3", "-q", "3"],
+             "-q sizes only infinite-order axes, and the spec has none")):
         assert run_cli(argv) == (2, ""), argv
         assert capsys.readouterr().err == "error: %s\n" % err
     for argv in (["frobnicate"], ["word", "mul", "--name", "C5", "v1", "--bogus"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
+
+
+def test_complex_stats_does_not_list_the_points():
+    # about 10^9 points; the room-class walk answers at once
+    proc = run_fresh(["complex", "stats", "--name", "P3", "--orders", "inf",
+                      "--window", "1000"], text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "V=1003003001 E=3006003000 F=2002000000 C3=0 chi=-999999 "
+        "npc=yes special=yes surface=no\n", "")
 
 
 def test_one_input_source_per_command(capsys, tmp_path):

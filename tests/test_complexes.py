@@ -313,7 +313,9 @@ def _stats_cases():
     yield _noncommuting_square()
 
 
-def test_stats_line_builds_one_link_per_point(monkeypatch):
+def test_stats_line_builds_one_link_per_room_class(monkeypatch):
+    # a box complex gets one link for each per-axis sign count that its
+    # points take, an explicit complex one at every point
     built = []
 
     def counting_link(X, p):
@@ -326,7 +328,11 @@ def test_stats_line_builds_one_link_per_point(monkeypatch):
         monkeypatch.setattr(complexes, "vertex_link", counting_link)
         line = stats_line(X)
         monkeypatch.undo()
-        assert built == list(X.vertices())
+        if X.box is None:
+            assert built == list(X.vertices())
+        else:
+            classes = [oracles.sign_counts(X, p) for p in built]
+            assert sorted(classes) == sorted(oracles.room_classes(X))
         fields = dict(f.split("=") for f in line.split())
         got = tuple(fields[k] == "yes" for k in ("npc", "special", "surface"))
         assert got == (is_npc(X)[0], check_special_map(X)[0],
@@ -349,18 +355,27 @@ def test_skeleton_matches_the_edge_tuple_oracle():
 
 def test_stats_line_builds_one_skeleton_per_link(monkeypatch):
     # the flag, special and cycle checks all run on a surface (every link a
-    # cycle) and share each link's skeleton
-    X = build_zf(GroupSpec(catalog.path(2), INF), 3)  # a torus
-    built = []
+    # cycle) and share each link's skeleton; the torus and the genus-5
+    # surface are one room class each
+    links, skeletons = [], []
+
+    def counting_link(X, p):
+        links.append(p)
+        return link(X, p)
 
     def counting_graph(vertices, masks):
-        built.append(vertices)
+        skeletons.append(vertices)
         return made(vertices, masks)
 
-    made = complexes.graphs._graph
+    link, made = complexes.vertex_link, complexes.graphs._graph
+    monkeypatch.setattr(complexes, "vertex_link", counting_link)
     monkeypatch.setattr(complexes.graphs, "_graph", counting_graph)
-    assert stats_line(X).endswith("npc=yes special=yes surface=yes")
-    assert len(built) == len(X.vertices())
+    for X in (build_zf(GroupSpec(catalog.path(2), INF), 3),
+              build_z0(GroupSpec(catalog.cycle(5), 2))):
+        links.clear()
+        skeletons.clear()
+        assert stats_line(X).endswith("npc=yes special=yes surface=yes")
+        assert len(skeletons) == len(links) == 1
 
 
 def test_a_link_edge_outside_its_vertices_is_a_value_error():
@@ -505,6 +520,30 @@ if HAVE_HYPOTHESIS:
         X, points = case
         for p in points:
             assert vertex_link(X, p) == oracles.signing_loop_link(X, p)
+
+    @st.composite
+    def stats_boxes(draw):
+        """A box complex on a random graph with at most 4 vertices, whose
+        axes are intervals of one to four points at offsets -2..2 or cyclic
+        ranges of size 3 to 5."""
+        verts = tuple("v%d" % i for i in range(draw(st.integers(1, 4))))
+        edges = [e for e in combinations(verts, 2) if draw(st.booleans())]
+        ranges = {}
+        for v in verts:
+            if draw(st.booleans()):
+                lo = draw(st.integers(-2, 2))
+                ranges[v] = ("interval", lo, lo + draw(st.integers(0, 3)))
+            else:
+                ranges[v] = ("cyclic", draw(st.integers(3, 5)))
+        return CubeComplex(GroupSpec(SimpleGraph(verts, edges), INF), Box(ranges))
+
+    @given(stats_boxes())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_stats_line_matches_the_per_point_oracle(X):
+        assert stats_line(X) == oracles.per_point_stats_line(X)
+        # the walk meets every room class of the box exactly once
+        classes = [oracles.sign_counts(X, p) for p in complexes._room_classes(X)]
+        assert sorted(classes) == sorted(oracles.room_classes(X))
 
     @given(face_closed_links())
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
