@@ -2,50 +2,51 @@
 certification: relator annihilation and collision-free bounded balls.
 
 The two constructions provided (doubling along a link, co-contraction) send
-each source generator either to itself or to a conjugate t x t^-1 of a target
-generator; the relator check certifies well-definedness and the injectivity
-sample gives a finite certificate on a ball.
+each source generator to itself or to a conjugate t x t^-1 of a target
+generator, written in normal form; the relator check concatenates images
+from each map's image table, and the injectivity sample certifies a ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import _merge, double_along_link, lines_by_vertex, read_lines
 from .words import (GroupSpec, INF, _ball, _normal_form, _pile, _readout,
-                    _word, normalize, parse_word, format_word)
+                    _spec, _word, normalize, parse_word, format_word)
 from .words import multiply  # noqa: F401  bound here for perfbench's tracer test
 
 
 @dataclass(frozen=True)
 class HomomorphismSpec:
+    """Generator images, with a `_table` of their and their inverses' syllables."""
+
     source: GroupSpec
     target: GroupSpec
     images: tuple  # ((source vertex, target Word), ...)
 
     def __init__(self, source, target, images):
-        items = []
-        imap = dict(images)
+        imap = {}
+        for v, w in images:
+            if v not in source.order:
+                raise ValueError("image for unknown source vertex %r" % (v,))
+            if v in imap:
+                raise ValueError("a second image for source vertex %r" % (v,))
+            if w.spec is not target and w.spec != target:
+                raise ValueError("the image of %r is over another spec" % (v,))
+            imap[v] = normalize(w)
         for v in source.graph.vertices:
             if v not in imap:
                 raise ValueError("no image for source vertex %r" % (v,))
-            items.append((v, normalize(imap[v])))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", tuple(items))
-
-    @cached_property
-    def _syllable_images(self):
-        """Per source vertex, the target syllables of its image and of the
-        image's inverse."""
-        return {v: (w.syllables, tuple((u, -f) for u, f in reversed(w.syllables)))
-                for v, w in self.images}
+        items = tuple((v, imap[v]) for v in source.graph.vertices)
+        self.__dict__.update(source=source, target=target, images=items, _table={
+            v: (w.syllables, tuple((u, -f) for u, f in reversed(w.syllables)))
+            for v, w in items})
 
     def _image_syllables(self, syllables):
         """The target syllables of the images of source syllables whose
         exponents are reduced, concatenated."""
-        table = self._syllable_images
+        table = self._table
         out = []
         for v, e in syllables:
             img, inv = table[v]
@@ -84,13 +85,17 @@ def co_contraction_embedding(g, e, orders, mirror=False):
 def _copy_map(tgt, src_graph, rho, t, mirror):
     """The map into tgt from the graph product over src_graph, whose vertex u
     copies rho[u]: u goes to itself when rho[u] is u, else to t rho[u] t^-1
-    (t^-1 rho[u] t with mirror).  Orders pull back along rho."""
-    src = GroupSpec(src_graph, {u: tgt.order[rho[u]] for u in src_graph.vertices})
-    s = -1 if mirror else 1
-    images = [(u, _word(tgt, ((u, 1),)) if u == rho[u]
-               else _normal_form(tgt, ((t, s), (rho[u], 1), (t, -s))))
-              for u in src_graph.vertices]
-    return HomomorphismSpec(src, tgt, images)
+    (t^-1 rho[u] t with mirror), in normal form as written, since rho[u] and
+    t never commute.  Orders pull back along rho."""
+    src = _spec(src_graph, tuple((u, tgt.order[rho[u]]) for u in src_graph.vertices))
+    a, b = (tgt.reduce_exp(t, -1), 1) if mirror else (1, tgt.reduce_exp(t, -1))
+    table = {u: (((u, 1),), ((u, -1),)) if u == r
+             else (((t, a), (r, 1), (t, b)), ((t, -b), (r, -1), (t, -a)))
+             for u, r in rho.items()}
+    h = object.__new__(HomomorphismSpec)
+    h.__dict__.update(source=src, target=tgt, _table=table, images=tuple(
+        (u, _word(tgt, table[u][0])) for u in src_graph.vertices))
+    return h
 
 
 def relator_check(h):
@@ -98,22 +103,25 @@ def relator_check(h):
 
     Relators: v^m for each finite-order source vertex, and the commutator
     [u, w] for each source edge, with its inverse syllables reduced as a
-    Word reduces them.  The images pile onto one set of piles: a relator
-    passes when its image piles down to no syllable, which leaves the piles
-    empty for the next one; a failure is read out and named, and the next
-    relator starts on fresh piles.  Returns (ok, failures) where each
-    failure is (description, image normal form).
+    Word reduces them: a finite-order v^-1 takes m - 1 copies of v's image,
+    not its inverse, as h need not be a homomorphism.  The images pile onto
+    one set of piles: a relator passes when its image piles down to no
+    syllable, which leaves the piles empty for the next one; a failure is
+    read out and named, and the next relator starts on fresh piles.
+    Returns (ok, failures) where each failure is (description, image normal
+    form).
     """
-    src, tgt = h.source, h.target
-    relators = [("%s^%d", (v, m), ((v, 1),) * m)
+    src, tgt, table = h.source, h.target, h._table
+    neg = {v: table[v][1] if m is INF else table[v][0] * (m - 1)
+           for v, m in src.orders}
+    relators = [("%s^%d", (v, m), table[v][0] * m)
                 for v, m in src.orders if m is not INF]
-    relators += [("[%s,%s]", (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
-                                      (w, src.reduce_exp(w, -1))))
+    relators += [("[%s,%s]", (u, w), table[u][0] + table[w][0] + neg[u] + neg[w])
                  for u, w in src.graph.sorted_edges()]
     failures = []
     piles = None
-    for text, args, rel in relators:
-        piles, count = _pile(tgt, h._image_syllables(rel), piles)
+    for text, args, image in relators:
+        piles, count = _pile(tgt, image, piles)
         if count:
             failures.append((text % args,
                              format_word(_readout(tgt, piles, count))))
@@ -162,4 +170,4 @@ def parse_homomorphism(source, target, text):
     images = lines_by_vertex(
         read_lines(text, ("im",))["im"], source.order,
         lambda v, fields: parse_word(target, " ".join(fields)))
-    return HomomorphismSpec(source, target, images)
+    return HomomorphismSpec(source, target, images.items())

@@ -122,6 +122,13 @@ def _word(spec, syllables):
     return w
 
 
+def _spec(graph, orders):
+    """The GroupSpec of orders taken from a checked spec, without its checks."""
+    s = object.__new__(GroupSpec)
+    s.__dict__.update(graph=graph, orders=orders)
+    return s
+
+
 def _pile(spec, syllables, piles=None):
     """Push syllables whose exponents are nonzero modulo the vertex order,
     but not necessarily reduced, onto the piles (empty ones by default) as

@@ -10,11 +10,12 @@ from itertools import combinations, permutations, product
 from gpwork.complexes import (LinkComplex, _is_cycle, _is_flag, _pure_2d,
                               cell_counts, check_link_special,
                               euler_characteristic, vertex_link)
+from gpwork.embeddings import HomomorphismSpec
 from gpwork.graphs import (SimpleGraph, _from_bits, canonical_bits,
                            induced_subgraph, opposite, read_graph6,
                            write_graph6)
-from gpwork.words import (INF, GroupSpec, Word, _pile, _readout, format_word,
-                          identity, invert, multiply, normalize)
+from gpwork.words import (INF, GroupSpec, Word, _normal_form, _pile, _readout,
+                          format_word, identity, invert, multiply, normalize)
 
 
 def shuffle_closure(spec, word):
@@ -313,8 +314,11 @@ def edge_set_double_along_link(g, t):
 
 def fresh_piles_relator_check(h):
     """relator_check with every relator's image piled onto fresh piles and
-    every relator named before it is checked."""
+    every relator named before it is checked.  Each syllable is imaged from
+    the public images: a positive exponent repeats its image's syllables, a
+    negative one repeats them reversed with each exponent negated."""
     src, tgt = h.source, h.target
+    images = {v: w.syllables for v, w in h.images}
     relators = [("%s^%d" % (v, m), ((v, 1),) * m)
                 for v, m in src.orders if m is not INF]
     relators += [("[%s,%s]" % (u, w), ((u, 1), (w, 1), (u, src.reduce_exp(u, -1)),
@@ -322,10 +326,26 @@ def fresh_piles_relator_check(h):
                  for u, w in src.graph.sorted_edges()]
     failures = []
     for text, rel in relators:
-        piles, count = _pile(tgt, h._image_syllables(rel))
+        image = []
+        for v, e in rel:
+            syls = images[v] if e > 0 else [(u, -f) for u, f in reversed(images[v])]
+            image += syls * abs(e)
+        piles, count = _pile(tgt, image)
         if count:
             failures.append((text, format_word(_readout(tgt, piles, count))))
     return (not failures), failures
+
+
+def piled_copy_map(tgt, src_graph, rho, t, mirror):
+    """`embeddings._copy_map` through the checked constructors: the source
+    spec from GroupSpec and each conjugate t^s rho[u] t^-s piled to its
+    normal form."""
+    src = GroupSpec(src_graph, {u: tgt.order[rho[u]] for u in src_graph.vertices})
+    s = -1 if mirror else 1
+    return HomomorphismSpec(src, tgt, [
+        (u, Word(tgt, ((u, 1),)) if u == rho[u]
+         else _normal_form(tgt, ((t, s), (rho[u], 1), (t, -s))))
+        for u in src_graph.vertices])
 
 
 def adjacency_scan_noncommuting(graph):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -194,6 +195,63 @@ def test_every_catalog_double_and_co_contraction_certifies():
                        for u, v in src.sorted_edges())
         built += len(maps)
     assert built == 1214
+
+
+def test_direct_conjugates_and_pulled_back_specs_match_the_piled_copy_map():
+    # each catalog double and co-contraction under orders 2, 3, inf and a
+    # mixed assignment, mirror off and on, against the map built through
+    # _normal_form and the checked GroupSpec
+    built = 0
+    for name in CATALOG + [b + "opp" for b in CATALOG]:
+        g = catalog.by_name(name)
+        mixed = dict(zip(g.vertices, itertools.cycle((3, INF, 2, 4))))
+        for orders, mirror in itertools.product((2, 3, INF, mixed), (False, True)):
+            tgt = GroupSpec(g, orders)
+            maps = [(double_homomorphism(g, t, orders, mirror),
+                     oracles.piled_copy_map(tgt, *double_along_link(g, t), t,
+                                            mirror))
+                    for t in g.vertices]
+            # t, the endpoint the conjugates use, is the later one
+            maps += [(co_contraction_embedding(g, e, orders, mirror),
+                      oracles.piled_copy_map(tgt, *_merge(g, e, True), e[1],
+                                             mirror))
+                     for e in opposite(g).sorted_edges()]
+            for h, piled in maps:
+                assert h == piled
+                assert format_homomorphism(h) == format_homomorphism(piled)
+                assert relator_check(h) == relator_check(piled)
+                src, spec = h.source, piled.source
+                assert type(src) is GroupSpec and hash(src) == hash(spec)
+                assert src.orders == spec.orders and src.order == spec.order
+                assert src.noncommuting == spec.noncommuting
+                assert src.finite_part == spec.finite_part
+            built += len(maps)
+    assert built == 9712
+
+
+def _c6_images():
+    h = co_contraction_embedding(catalog.cycle(6), ("v1", "v3"), 2)
+    return h.source, h.target, list(h.images)
+
+
+def test_homomorphism_refuses_an_image_for_an_unknown_vertex():
+    src, tgt, images = _c6_images()
+    with pytest.raises(ValueError, match="unknown source vertex 'p'"):
+        HomomorphismSpec(src, tgt, images + [("p", Word(tgt, (("v2", 1),)))])
+
+
+def test_homomorphism_refuses_a_second_image_for_a_vertex():
+    src, tgt, images = _c6_images()
+    with pytest.raises(ValueError, match="second image for source vertex 'v2'"):
+        HomomorphismSpec(src, tgt, images + [("v2", Word(tgt, (("v4", 1),)))])
+
+
+def test_homomorphism_refuses_an_image_over_another_spec():
+    src, tgt, images = _c6_images()
+    other = GroupSpec(SimpleGraph(("p",), []), 2)
+    images[1] = ("v2", Word(other, (("p", 1),)))
+    with pytest.raises(ValueError, match="image of 'v2' is over another spec"):
+        HomomorphismSpec(src, tgt, images)
 
 
 def test_relator_check_matches_fresh_piles():

@@ -50,6 +50,19 @@ def test_only_outside_input_goes_through_the_checked_constructor():
     assert any(c[0] == "catalog.py" for c in calls)
 
 
+def test_only_outside_orders_go_through_the_checked_spec_constructor():
+    # orders read from text or passed in by a caller are checked; a spec
+    # whose orders are pulled back from a checked one is built by words._spec
+    calls = _uses(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "GroupSpec"
+        or getattr(node.func, "attr", None) == "GroupSpec"))
+    assert calls == {
+        ("cli.py", "_load_spec"), ("words.py", "spec_from_lines"),
+        ("embeddings.py", "double_homomorphism"),
+        ("embeddings.py", "co_contraction_embedding"),
+        ("classify.py", "witness_complex")}
+
+
 def test_only_the_graph_class_reads_edge_sets():
     # the kernel reads masks; `edges` stays for the tests and the benchmark
     reads = _uses(lambda node: isinstance(node, ast.Attribute)
